@@ -287,7 +287,8 @@ def _build_parser():
     pz = sub.add_parser("parametrize", parents=[common],
                         help="truncated power series parametrization")
     pz.add_argument("--terms", type=int, default=64, metavar="T",
-                    help="series truncation order (default 64)")
+                    help="series truncation order (default 64, at most "
+                         "16384)")
     sub.add_parser("area-check", parents=[common],
                    help="replay -M as a sum of closed polygon areas")
     c = sub.add_parser("check", parents=[common],

@@ -113,6 +113,9 @@ class RationalCtx(FieldCtx):
     def mul(self, a, b):
         return a * b
 
+    def is_zero(self, a):
+        return not a
+
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")

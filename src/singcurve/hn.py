@@ -9,7 +9,7 @@ X-power N.
 """
 
 from .errors import (BadOrder, InternalError, NotCoprime, OrderMismatch,
-                     ParityViolation, ZeroRoot)
+                     ParityViolation, ZeroPolynomial, ZeroRoot)
 from .poly import BiPoly
 
 
@@ -118,37 +118,51 @@ class HNMap:
         shift = BiPoly(self.ctx, {(0, 1): self.ctx.one, (0, 0): self.mu_bar})
         return BiPoly.monomial(self.ctx, self.q, 0) * shift ** self.B
 
-    def apply(self, f):
-        """f(x_image, y_image), grouped by image exponents.
+    def image_order(self, f):
+        """Largest N with X^N dividing f(x_image, y_image).
 
-        Each input term c x^i y^j maps to c X^(pi+qj) (Y+mu_bar)^(Ai+Bj);
-        collecting terms per exponent pair before expanding the shift powers
-        is far cheaper than a generic substitution.
+        The term c x^i y^j maps to c X^(pi+qj) (Y+mu_bar)^(Ai+Bj).  The map
+        is unimodular, so distinct terms have distinct exponent pairs, and
+        the shift powers sharing one X-exponent have distinct degrees; so
+        nothing cancels and N is the least X-exponent over the terms.
+        """
+        if not f.c:
+            raise ZeroPolynomial("image order of the zero polynomial")
+        return min(self.p * i + self.q * j for i, j in f.c)
+
+    def apply(self, f, n=None):
+        """f(x_image, y_image), expanded term by term.
+
+        Each term needs only one shift power, so this is far cheaper than a
+        generic substitution.  With n given the result is instead the
+        cofactor f(x_image, y_image) / X^N, N the image order, with its
+        monomials of total degree n and above left out.
         """
         ctx = f.ctx
-        groups = {}
-        for (i, j), v in f.c.items():
-            key = (self.p * i + self.q * j, self.A * i + self.B * j)
-            if key in groups:
-                groups[key] = ctx.add(groups[key], v)
-            else:
-                groups[key] = v
+        shift = 0 if n is None or not f.c else self.image_order(f)
         rows = {0: [ctx.one]}
         top = 0
         out = {}
         add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-        for (w, e), v in groups.items():
-            if is_zero(v):
+        mu_bar = self.mu_bar
+        for (i, j), v in f.c.items():
+            w = self.p * i + self.q * j - shift
+            e = self.A * i + self.B * j
+            if is_zero(v) or (n is not None and w >= n):
                 continue
             while top < e:
+                # row e holds the coefficients of (Y + mu_bar)^e, cut to
+                # length n when truncating
                 prev = rows[top]
                 top += 1
-                nxt = [ctx.zero] * (top + 1)
-                for k, b in enumerate(prev):
-                    nxt[k] = add(nxt[k], mul(b, self.mu_bar))
-                    nxt[k + 1] = add(nxt[k + 1], b)
+                nxt = [mul(b, mu_bar) for b in prev]
+                if n is None or top < n:
+                    nxt.append(ctx.zero)
+                for k in range(1, len(nxt)):
+                    nxt[k] = add(nxt[k], prev[k - 1])
                 rows[top] = nxt
-            for k, b in enumerate(rows[e]):
+            row = rows[e] if n is None else rows[e][:n - w]
+            for k, b in enumerate(row):
                 if is_zero(b):
                     continue
                 key = (w, k)
@@ -181,8 +195,11 @@ def hn_map(p, q, mu, ctx):
     return HNMap(p, q, A, B, mu, ctx)
 
 
-def transform_with_map(f, m):
-    """(N, w) with f(map) = X^N * w and w not divisible by X."""
+def transform_with_map(f, m, n=None):
+    """(N, w) with f(map) = X^N * w and w not divisible by X; with n given,
+    w keeps only its monomials of total degree below n."""
+    if n is not None:
+        return m.image_order(f), m.apply(f, n)
     full = m.apply(f)
     n = full.x_mult()
     return n, full.div_monomial(n, 0)

@@ -9,11 +9,11 @@ Infinite intersection numbers are returned as math.inf.
 
 import math
 
-from .errors import (DisconnectedNodes, InternalError, NotIrreducible,
-                     NotIrreducibleBranchShape, ParityViolation,
-                     PrecisionExhausted)
+from .errors import (DisconnectedNodes, InputError, InternalError,
+                     NotIrreducible, NotIrreducibleBranchShape,
+                     ParityViolation, PrecisionExhausted)
 from .hn import hn_map, transform_with_map
-from .poly import gcd_bipoly, partials
+from .poly import gcd_bipoly
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity
 
 INF = math.inf
@@ -274,16 +274,25 @@ def _ser_zero(ctx, n):
 def _ser_mul(ctx, a, b, n):
     out = [ctx.zero] * n
     add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-    for i, ai in enumerate(a):
-        if i >= n:
-            break
+    nz = [(j, bj) for j, bj in enumerate(b[:n]) if not is_zero(bj)]
+    for i, ai in enumerate(a[:n]):
         if is_zero(ai):
             continue
-        for j in range(min(n - i, len(b))):
-            bj = b[j]
-            if not is_zero(bj):
-                out[i + j] = add(out[i + j], mul(ai, bj))
+        lim = n - i
+        for j, bj in nz:
+            if j >= lim:
+                break
+            out[i + j] = add(out[i + j], mul(ai, bj))
     return out
+
+
+def _ser_addto(ctx, acc, b):
+    """acc += b in place over the length of acc; returns acc."""
+    add, is_zero = ctx.add, ctx.is_zero
+    for k, bk in enumerate(b[:len(acc)]):
+        if not is_zero(bk):
+            acc[k] = add(acc[k], bk)
+    return acc
 
 
 def _ser_pow(ctx, a, e, n):
@@ -299,16 +308,21 @@ def _ser_pow(ctx, a, e, n):
     return out
 
 
-def _ser_inv(ctx, a, n):
-    inv0 = ctx.inv(a[0])
-    out = [ctx.zero] * n
-    out[0] = inv0
-    for k in range(1, n):
-        s = ctx.zero
-        for i in range(1, min(k, len(a) - 1) + 1):
-            if not ctx.is_zero(a[i]) and not ctx.is_zero(out[k - i]):
-                s = ctx.add(s, ctx.mul(a[i], out[k - i]))
-        out[k] = ctx.neg(ctx.mul(inv0, s))
+def _ser_div(ctx, a, b, n):
+    """a / b mod t^n for len(a) >= n and b[0] != 0, by long division."""
+    sub, mul, is_zero = ctx.sub, ctx.mul, ctx.is_zero
+    inv0 = ctx.inv(b[0])
+    nz = [(i, bi) for i, bi in enumerate(b[1:n], 1) if not is_zero(bi)]
+    out = []
+    for k in range(n):
+        acc = a[k]
+        for i, bi in nz:
+            if i > k:
+                break
+            q = out[k - i]
+            if not is_zero(q):
+                acc = sub(acc, mul(bi, q))
+        out.append(mul(acc, inv0))
     return out
 
 
@@ -316,44 +330,55 @@ def _ser_order(ctx, a):
     return next((k for k, c in enumerate(a) if not ctx.is_zero(c)), None)
 
 
-def _ser_eval_row(ctx, cols, phi, n):
-    """sum of cols[i] * phi^i via Horner over the present exponents."""
-    acc = [ctx.zero] * n
-    prev = None
-    for i in sorted(cols, reverse=True):
-        if prev is not None:
-            acc = _ser_mul(ctx, acc, _ser_pow(ctx, phi, prev - i, n), n)
-        acc[0] = ctx.add(acc[0], cols[i])
-        prev = i
-    if prev:
-        acc = _ser_mul(ctx, acc, _ser_pow(ctx, phi, prev, n), n)
-    return acc
-
-
 def _ser_eval(g, phi, psi, n):
-    """g(phi(t), psi(t)) mod t^n, Horner in both variables.
+    """g(phi(t), psi(t)) mod t^n, Horner in psi over rows in phi.
 
-    Both series must vanish at t = 0; that lets monomials of total degree
-    at least n be skipped, since they only feed orders at or above n.
+    Both series must vanish at t = 0.  A monomial x^i y^j then starts at
+    order i ord(phi) + j ord(psi), so those at or above n are skipped.  The
+    powers of phi and psi are built once; each row sum_i c_ij phi^i is a
+    linear combination of them, and the Horner value after row j, which
+    is still to be multiplied by psi^j, is kept mod t^(n - j ord(psi)).
     """
     ctx = g.ctx
     if (phi and not ctx.is_zero(phi[0])) or (psi and not ctx.is_zero(psi[0])):
         raise InternalError("series substitution needs ord >= 1 arguments")
+    # a zero series counts as order n: every monomial it enters is skipped
+    ox = _ser_order(ctx, phi) or n
+    oy = _ser_order(ctx, psi) or n
     rows = {}
     for (i, j), v in g.c.items():
-        if i + j < n:
+        if i * ox + j * oy < n:
             rows.setdefault(j, {})[i] = v
-    acc = [ctx.zero] * n
-    prev = None
-    for j in sorted(rows, reverse=True):
-        if prev is not None:
-            acc = _ser_mul(ctx, acc, _ser_pow(ctx, psi, prev - j, n), n)
-        row = _ser_eval_row(ctx, rows[j], phi, n)
-        acc = [ctx.add(a, b) for a, b in zip(acc, row)]
-        prev = j
-    if prev:
-        acc = _ser_mul(ctx, acc, _ser_pow(ctx, psi, prev, n), n)
+    if not rows:
+        return _ser_zero(ctx, n)
+    xpow = _ser_powers(ctx, phi, max(max(r) for r in rows.values()), n)
+    js = sorted(rows, reverse=True)
+    gaps = [a - b for a, b in zip(js, js[1:] + [0])]
+    ypow = _ser_powers(ctx, psi, max(gaps), n)
+    add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
+    acc = None
+    for j, gap in zip(js, gaps):
+        width = n - j * oy
+        row = _ser_zero(ctx, width)
+        for i, v in rows[j].items():
+            if i == 0:
+                row[0] = add(row[0], v)
+                continue
+            for k, pk in enumerate(xpow[i][:width]):
+                if not is_zero(pk):
+                    row[k] = add(row[k], mul(v, pk))
+        acc = row if acc is None else _ser_addto(ctx, acc, row)
+        if gap:
+            acc = _ser_mul(ctx, acc, ypow[gap], n - (j - gap) * oy)
     return acc
+
+
+def _ser_powers(ctx, a, top, n):
+    """[None, a, a^2, ..., a^top] mod t^n."""
+    out = [None, a[:n]]
+    for _ in range(top - 1):
+        out.append(_ser_mul(ctx, out[-1], a, n))
+    return out
 
 
 def _trunc_total(f, n):
@@ -421,31 +446,54 @@ def _lift_poly(steps, f, target):
     return f
 
 
+def _horner_s(ctx, rows, s, n, dn):
+    """(w(t, s) mod t^n, w_y(t, s) mod t^dn) for w = sum_j rows[j](t) s^j,
+    ord s >= 1 and dn < n.
+
+    One Horner pass in s carries the value V and its s-derivative D:
+    (V, D) <- (V s + r_j, D s + V).  Whatever the pass holds after row j
+    is multiplied by s^j later, so that step works mod t^(n - j), and D
+    is only carried once j < dn.
+    """
+    top = min(len(rows), n) - 1
+    val = rows[top][:n - top]
+    der = []
+    for j in range(top - 1, -1, -1):
+        if j < dn:
+            m = dn - j
+            der = _ser_addto(ctx, _ser_mul(ctx, der, s, m) if der
+                             else _ser_zero(ctx, m), val)
+        val = _ser_addto(ctx, _ser_mul(ctx, val, s, n - j), rows[j])
+    return val, der
+
+
 def _solve_smooth(w, n):
-    """Series s with w(t, s(t)) = 0 mod t^n, for w of Y-order one at X=0."""
+    """Series s with w(t, s(t)) = 0 mod t^n, for w of Y-order one at X=0.
+
+    Newton iteration on the chart curve with x = t: row j of w is the
+    dense series sum_i c_ij t^i, cut to length n - j since ord s >= 1.
+    """
     ctx = w.ctx
     order = _ser_order(ctx, w.subs_x0())
     if order != 1:
         raise InternalError(f"chart curve has Y-order {order}, wanted 1")
-    wy = partials(w)[1]
-    s = [ctx.zero] * n
+    rows = [_ser_zero(ctx, n - j) for j in range(min(w.deg_y(), n - 1) + 1)]
+    for (i, j), v in w.c.items():
+        if i + j < n:
+            rows[j][i] = v
+    s = _ser_zero(ctx, n)
     prec = 1
     while prec < n:
-        # each Newton round doubles the valid order, so work at the
-        # precision the round is about to reach
-        prec = min(2 * prec, n)
-        ident = [ctx.zero] * prec
-        ident[1] = ctx.one
-        cur = s[:prec]
-        val = _ser_eval(w, ident, cur, prec)
-        der = _ser_eval(wy, ident, cur, prec)
-        corr = _ser_mul(ctx, val, _ser_inv(ctx, der, prec), prec)
-        for k in range(prec):
-            s[k] = ctx.sub(cur[k], corr[k])
-    ident = [ctx.zero] * n
-    if n > 1:
-        ident[1] = ctx.one
-    if _ser_order(ctx, _ser_eval(w, ident, s, n)) is not None:
+        # each Newton round doubles the valid order h, so work at the
+        # precision the round is about to reach; w(t, s) = O(t^h), so
+        # the correction needs w_y(t, s) only mod t^(prec - h)
+        h, prec = prec, min(2 * prec, n)
+        val, der = _horner_s(ctx, rows, s[:prec], prec, prec - h)
+        corr = _ser_div(ctx, val[h:], der, prec - h)
+        for k, ck in enumerate(corr, h):
+            if not ctx.is_zero(ck):
+                s[k] = ctx.sub(s[k], ck)
+    if _ser_order(ctx, _horner_s(ctx, rows, s, n, 0)[0]) is not None:
         raise InternalError("Newton iteration failed to converge")
     return s
 
@@ -491,8 +539,7 @@ def _parametrize_arrow(f, t, aid, n):
     for m in maps:
         if not h.c:
             raise PrecisionExhausted("precision too low for the chart chain")
-        _, h = transform_with_map(h, m)
-        h = _trunc_total(h, n)
+        _, h = transform_with_map(h, m, n)
     if not h.c:
         raise PrecisionExhausted("precision too low for the chart chain")
     psi = _solve_smooth(h, n)
@@ -514,7 +561,11 @@ def _parametrize_arrow(f, t, aid, n):
 
 
 def parametrize_branch(f, terms=64):
-    """Parametrization of an irreducible f to the given precision."""
+    """Parametrization of an irreducible f to the given precision, at
+    most PRECISION_CAP terms."""
+    if int(terms) > PRECISION_CAP:
+        raise InputError(f"terms = {int(terms)} is above the series "
+                         f"precision limit PRECISION_CAP = {PRECISION_CAP}")
     t = build_tree(f)
     arrows = t.arrows("branch")
     if len(arrows) != 1:

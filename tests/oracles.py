@@ -165,3 +165,137 @@ def multiplicity_sum_check(tree):
         if got != n.N:
             bad.append(n.nid)
     return bad
+
+
+# ---------------------------------------------------------------------------
+# reference series path: the generic two-variable Horner and Newton loop the
+# library used before its chart solve was specialised to phi = t.  The chart
+# chain comes from the library's tree walk, but each chart is expanded in
+# full and cut afterwards, so the truncated chart maps are checked too.
+
+
+def _ref_mul(ctx, a, b, n):
+    out = [ctx.zero] * n
+    for i, ai in enumerate(a[:n]):
+        if ctx.is_zero(ai):
+            continue
+        for j in range(min(n - i, len(b))):
+            if not ctx.is_zero(b[j]):
+                out[i + j] = ctx.add(out[i + j], ctx.mul(ai, b[j]))
+    return out
+
+
+def _ref_pow(ctx, a, e, n):
+    out = [ctx.zero] * n
+    out[0] = ctx.one
+    base = a
+    while e:
+        if e & 1:
+            out = _ref_mul(ctx, out, base, n)
+        e >>= 1
+        if e:
+            base = _ref_mul(ctx, base, base, n)
+    return out
+
+
+def _ref_inv(ctx, a, n):
+    inv0 = ctx.inv(a[0])
+    out = [ctx.zero] * n
+    out[0] = inv0
+    for k in range(1, n):
+        s = ctx.zero
+        for i in range(1, min(k, len(a) - 1) + 1):
+            s = ctx.add(s, ctx.mul(a[i], out[k - i]))
+        out[k] = ctx.neg(ctx.mul(inv0, s))
+    return out
+
+
+def _ref_eval_row(ctx, cols, phi, n):
+    acc = [ctx.zero] * n
+    prev = None
+    for i in sorted(cols, reverse=True):
+        if prev is not None:
+            acc = _ref_mul(ctx, acc, _ref_pow(ctx, phi, prev - i, n), n)
+        acc[0] = ctx.add(acc[0], cols[i])
+        prev = i
+    if prev:
+        acc = _ref_mul(ctx, acc, _ref_pow(ctx, phi, prev, n), n)
+    return acc
+
+
+def horner_eval(g, phi, psi, n):
+    """g(phi(t), psi(t)) mod t^n, Horner in y over Horner-in-x rows, for
+    series phi, psi without constant term."""
+    ctx = g.ctx
+    rows = {}
+    for (i, j), v in g.c.items():
+        if i + j < n:
+            rows.setdefault(j, {})[i] = v
+    acc = [ctx.zero] * n
+    prev = None
+    for j in sorted(rows, reverse=True):
+        if prev is not None:
+            acc = _ref_mul(ctx, acc, _ref_pow(ctx, psi, prev - j, n), n)
+        row = _ref_eval_row(ctx, rows[j], phi, n)
+        acc = [ctx.add(a, b) for a, b in zip(acc, row)]
+        prev = j
+    if prev:
+        acc = _ref_mul(ctx, acc, _ref_pow(ctx, psi, prev, n), n)
+    return acc
+
+
+def _ref_trunc(f, n):
+    r = f.__class__(f.ctx)
+    r.c = {k: v for k, v in f.c.items() if k[0] + k[1] < n}
+    return r
+
+
+def newton_solve(w, n):
+    """s with w(t, s(t)) = 0 mod t^n by Newton steps that evaluate w and
+    w_y at (t, s) through horner_eval."""
+    from singcurve.poly import partials
+
+    ctx = w.ctx
+    wy = partials(w)[1]
+    s = [ctx.zero] * n
+    prec = 1
+    while prec < n:
+        prec = min(2 * prec, n)
+        ident = [ctx.zero] * prec
+        ident[1] = ctx.one
+        cur = s[:prec]
+        val = horner_eval(w, ident, cur, prec)
+        der = horner_eval(wy, ident, cur, prec)
+        corr = _ref_mul(ctx, val, _ref_inv(ctx, der, prec), prec)
+        for k in range(prec):
+            s[k] = ctx.sub(cur[k], corr[k])
+    return s
+
+
+def reference_parametrization(f, n):
+    """(phi, psi) mod t^n for the single, non-axis branch of f."""
+    from singcurve.hn import transform_with_map
+    from singcurve.invariants import _lift_poly, _maps_to_arrow
+    from singcurve.tree import build_tree
+
+    t = build_tree(f)
+    (arrow,) = t.arrows("branch")
+    ctx = t.meta["ctx"]
+    maps, axis = _maps_to_arrow(t, arrow.nid)
+    assert axis is None, "axis branches have no chart chain"
+    h = _ref_trunc(_lift_poly(t.meta["steps"], f, ctx), n)
+    for m in maps:
+        _, h = transform_with_map(h, m)
+        h = _ref_trunc(h, n)
+    psi = newton_solve(h, n)
+    phi = [ctx.zero] * n
+    phi[1] = ctx.one
+    for m in reversed(maps):
+        shift = list(psi)
+        shift[0] = ctx.add(shift[0], m.mu_bar)
+        phi, psi = (
+            _ref_mul(ctx, _ref_pow(ctx, phi, m.p, n),
+                     _ref_pow(ctx, shift, m.A, n), n),
+            _ref_mul(ctx, _ref_pow(ctx, phi, m.q, n),
+                     _ref_pow(ctx, shift, m.B, n), n))
+    return phi, psi

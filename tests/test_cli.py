@@ -1,6 +1,7 @@
 """Command dispatch, rendering formats, and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -92,6 +93,15 @@ def test_parametrize_command():
     out = _ok("parametrize", f_text="x^3 - y^2", terms=8)
     assert out.splitlines() == ["x(t) = t^2 + O(t^8)",
                                 "y(t) = t^3 + O(t^8)"]
+
+
+def test_parametrize_rejects_terms_above_the_limit():
+    start = time.perf_counter()
+    code, out = run(config_from_argv(
+        ["parametrize", "-f", "x^3 - y^2", "--terms", "100000"]))
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out.startswith("input error:") and "16384" in out
 
 
 def test_area_check_command():

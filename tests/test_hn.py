@@ -12,7 +12,7 @@ from singcurve.field import field_ctx
 from singcurve.hn import (euclid_sequences, hn_map, hn_transform,
                           transform_with_map)
 from singcurve.newton import newton_polygon
-from singcurve.poly import parse_poly, substitute
+from singcurve.poly import BiPoly, parse_poly, substitute
 
 from curves import EX1
 
@@ -199,3 +199,17 @@ def test_map_unimodular(a, b, c):
     n, w = transform_with_map(f, m)
     assert n == p * q
     assert f13.is_zero(w.evaluate(f13.zero, f13.zero))
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                       st.integers(1, 12), min_size=1, max_size=8),
+       st.sampled_from([(1, 1), (2, 1), (1, 3), (3, 2), (2, 5), (7, 4)]),
+       st.integers(1, 12), st.integers(1, 30))
+def test_truncated_map_cuts_the_cofactor(terms, pq, c, n):
+    f13 = field_ctx(13)
+    f = BiPoly(f13, {k: f13.from_int(v) for k, v in terms.items()})
+    m = hn_map(*pq, f13.from_int(c), f13)
+    full_n, w = transform_with_map(f, m)
+    cut_n, cut = transform_with_map(f, m, n)
+    assert cut_n == full_n
+    assert cut.c == {k: v for k, v in w.c.items() if k[0] + k[1] < n}

@@ -15,12 +15,14 @@ from singcurve.invariants import (INF, Parametrization, ZariskiSeq,
                                   rho, rho_bar, semigroup_gaps,
                                   semigroup_membership, tree_delta,
                                   tree_mu_bar, zariski_sequence)
-from singcurve.poly import parse_poly
+from singcurve.invariants import _ser_eval
+from singcurve.poly import BiPoly, parse_poly
 from singcurve.tree import build_tree, build_tree_multi, minimalize
 
 from curves import EX1, EX2, four_lines
-from oracles import (rho_bar_path, resultant_order, semigroup_from_generators,
-                     series_order)
+from oracles import (horner_eval, reference_parametrization, rho_bar_path,
+                     resultant_order, semigroup_from_generators, series_order)
+from test_properties import _rand_branch
 
 QQ = field_ctx(0)
 
@@ -213,6 +215,35 @@ def test_parametrize_ex1_orders():
     par7 = parametrize_branch(parse_poly(EX1, field_ctx(7)), 250)
     assert par7.orders() == (12, 8)
     assert par7.trunc == 250
+
+
+def test_parametrize_matches_the_reference_series_path():
+    cases = [(parse_poly(EX1, field_ctx(7)), 64), (_q(EX1), 64)]
+    for p, k in [(3, 1), (101, 1), (7, 2), (0, 1)]:
+        ctx = field_ctx(p, k)
+        rng = random.Random(3000 + 10 * p + k)
+        cases += [(_rand_branch(ctx, rng), 48) for _ in range(8)]
+    for f, n in cases:
+        par = parametrize_branch(f, n)
+        assert (par.phi, par.psi) == reference_parametrization(f, n), f
+
+
+def _rand_series(ctx, rng, order, n):
+    return [ctx.zero] * order + [ctx.rand_elem(rng) for _ in range(n - order)]
+
+
+def test_series_substitution_matches_the_reference_horner():
+    # orders above one, and zero series, exercise the order-aware skip
+    rng = random.Random(17)
+    for p in (7, 0):
+        ctx = field_ctx(p)
+        for _ in range(40):
+            n = rng.randrange(2, 30)
+            g = BiPoly(ctx, {(rng.randrange(8), rng.randrange(8)):
+                             ctx.rand_elem(rng) for _ in range(6)})
+            phi = _rand_series(ctx, rng, rng.choice((1, 2, 5, n)), n)
+            psi = _rand_series(ctx, rng, rng.choice((1, 3, 4, n)), n)
+            assert _ser_eval(g, phi, psi, n) == horner_eval(g, phi, psi, n)
 
 
 def test_parametrize_rejects_reducible():
