@@ -16,18 +16,35 @@ from .errors import (Char0IrreducibleRemainder, Char0Unsupported,
                      DivisionByZero, InputError, ZeroPolynomial)
 
 
+# Miller-Rabin with the first twelve prime bases decides every n below this
+# bound (Sorenson and Webster 2015)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n):
+    """Deterministic Miller-Rabin for n below PRIME_TEST_LIMIT."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= PRIME_TEST_LIMIT:
+        raise InputError(f"primality of {n} is only decided below "
+                         f"PRIME_TEST_LIMIT = {PRIME_TEST_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -313,6 +330,12 @@ def uni_trim(ctx, f):
 
 def uni_deg(f):
     return len(f) - 1
+
+
+def uni_order(ctx, f):
+    """Index of the first nonzero coefficient, None when all vanish; f may
+    be a polynomial or a truncated series."""
+    return next((k for k, c in enumerate(f) if not ctx.is_zero(c)), None)
 
 
 def uni_add(ctx, f, g):

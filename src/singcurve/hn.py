@@ -1,96 +1,41 @@
-"""Euclidean exponent sequences and the associated monomial chart maps.
+"""Monomial chart maps of the Hamburger-Noether expansion.
 
 For a face with primitive normal (p, q) and root mu, the chart substitution is
-x = X^p (Y + c)^A, y = X^q (Y + c)^B with |qA - pB| = 1 and c = mu^(qA - pB).
-The exponents come from the quotient sequences of gcd(p, q) = 1; under the
-map, the face factor x^q - mu y^p picks up Y-order exactly one at the origin
-in every characteristic, and the terms of f on the face account for the whole
-X-power N.
+x = X^p (Y + c)^A, y = X^q (Y + c)^B with qA - pB = +-1 and c = mu^(qA - pB).
+The exponents are the least non-negative solution of that equation, with the
+sign fixed by the parity of the number of Euclid division steps on (p, q);
+under the map, the face factor x^q - mu y^p picks up Y-order exactly one at
+the origin in every characteristic, and the terms of f on the face account
+for the whole X-power N.
 """
 
-from .errors import (BadOrder, InternalError, NotCoprime, OrderMismatch,
-                     ParityViolation, ZeroPolynomial, ZeroRoot)
+import math
+
+from .errors import (BadOrder, NotCoprime, ParityViolation, ZeroPolynomial,
+                     ZeroRoot)
 from .poly import BiPoly
 
 
-class EuclidData:
-    """Quotients, remainders and the four recurrence sequences for (p, q).
+def chart_exponents(p, q):
+    """(A, B, sign) with qA - pB = sign = +-1, 0 <= A <= p and 0 <= B <= q.
 
-    Subscripts follow the chain p = k_1 q + r_1, ..., r_nbar = k_(nbar+2),
-    with r_(nbar+1) = 1.  The dicts m, n run over 0..nbar+2 and mt, nt over
-    0..nbar+1; p_prime = n_(nbar+2) and q_prime = nt_(nbar+1).
+    sign is -1 to the number of division steps Euclid takes on (p, q),
+    flipped when p >= q.
     """
-
-    __slots__ = ("p", "q", "k", "r", "nbar", "m", "n", "mt", "nt",
-                 "p_prime", "q_prime")
-
-    def __init__(self, p, q, k, r, nbar, m, n, mt, nt):
-        self.p = p
-        self.q = q
-        self.k = k
-        self.r = r
-        self.nbar = nbar
-        self.m = m
-        self.n = n
-        self.mt = mt
-        self.nt = nt
-        self.p_prime = n[nbar + 2]
-        self.q_prime = nt[nbar + 1]
-
-
-def euclid_sequences(p, q):
-    """Sequences for coprime p >= q >= 1."""
-    if p < q or q < 1:
-        raise BadOrder(f"need p >= q >= 1, got ({p}, {q})")
-    r = {0: q}
-    k = {}
-    a, b = p, q
-    i = 0
-    while b != 0:
-        i += 1
-        k[i], b2 = divmod(a, b)
-        a, b = b, b2
-        r[i] = b
-    if a != 1:
-        raise NotCoprime(f"gcd({p}, {q}) = {a}")
-    # r[nbar + 1] = 1, r[nbar + 2] = 0
-    nbar = i - 2 if q > 1 else -1
-    if r[nbar + 1] != 1 or r.get(nbar + 2, 0) != 0:
-        raise InternalError("remainder chain out of shape")
-    m, n = {0: 1}, {0: 0}
-    for j in range(nbar + 2):
-        m[j + 1] = m[j] * k[j + 1] + n[j]
-        n[j + 1] = m[j]
-    mt, nt = {0: 1}, {0: 0}
-    for j in range(nbar + 1):
-        mt[j + 1] = mt[j] * k[j + 2] + nt[j]
-        nt[j + 1] = mt[j]
-    ed = EuclidData(p, q, k, r, nbar, m, n, mt, nt)
-    _check_euclid(ed)
-    return ed
-
-
-def _check_euclid(ed):
-    p, q, r, nbar = ed.p, ed.q, ed.r, ed.nbar
-    rfull = {-1: p}
-    rfull.update(r)
-    for i in range(nbar + 3):
-        if p != ed.m[i] * rfull[i - 1] + ed.n[i] * rfull[i]:
-            raise InternalError("p-recurrence violated")
-    for i in range(nbar + 2):
-        if q != ed.mt[i] * rfull[i] + ed.nt[i] * rfull.get(i + 1, 0):
-            raise InternalError("q-recurrence violated")
-    for i in range(nbar + 2):
-        delta = ed.n[i + 1] * ed.mt[i] - ed.nt[i] * ed.m[i + 1]
-        if delta != (-1) ** i:
-            raise ParityViolation(f"Delta_{i} = {delta}")
-    if p != ed.m[nbar + 2] or q != ed.mt[nbar + 1]:
-        raise InternalError("final sequence values disagree with (p, q)")
-    if not (0 <= ed.p_prime <= p and 0 <= ed.q_prime <= q):
-        raise InternalError("final exponents out of range")
-    det = p * ed.q_prime - q * ed.p_prime
-    if det * (-1) ** (nbar % 2) != 1:
-        raise ParityViolation(f"chart determinant {det} at nbar={nbar}")
+    if min(p, q) < 1:
+        raise BadOrder(f"need p, q >= 1, got ({p}, {q})")
+    if math.gcd(p, q) != 1:
+        raise NotCoprime(f"gcd({p}, {q}) = {math.gcd(p, q)}")
+    a, b, steps = max(p, q), min(p, q), 0
+    while b:
+        a, b, steps = b, a % b, steps + 1
+    sign = (-1) ** (steps + (p >= q))
+    A = sign * pow(q, -1, p) % p
+    B = (q * A - sign) // p
+    if B < 0:
+        # p = q = 1 with sign 1: (0, -1) moves up to (1, 0)
+        A, B = A + p, B + q
+    return A, B, sign
 
 
 class HNMap:
@@ -110,16 +55,8 @@ class HNMap:
         self.mu_bar = ctx.pow(mu, self.sign)
         self.ctx = ctx
 
-    def x_image(self):
-        shift = BiPoly(self.ctx, {(0, 1): self.ctx.one, (0, 0): self.mu_bar})
-        return BiPoly.monomial(self.ctx, self.p, 0) * shift ** self.A
-
-    def y_image(self):
-        shift = BiPoly(self.ctx, {(0, 1): self.ctx.one, (0, 0): self.mu_bar})
-        return BiPoly.monomial(self.ctx, self.q, 0) * shift ** self.B
-
     def image_order(self, f):
-        """Largest N with X^N dividing f(x_image, y_image).
+        """Largest N with X^N dividing f(map).
 
         The term c x^i y^j maps to c X^(pi+qj) (Y+mu_bar)^(Ai+Bj).  The map
         is unimodular, so distinct terms have distinct exponent pairs, and
@@ -131,11 +68,11 @@ class HNMap:
         return min(self.p * i + self.q * j for i, j in f.c)
 
     def apply(self, f, n=None):
-        """f(x_image, y_image), expanded term by term.
+        """f(map), expanded term by term.
 
         Each term needs only one shift power, so this is far cheaper than a
         generic substitution.  With n given the result is instead the
-        cofactor f(x_image, y_image) / X^N, N the image order, with its
+        cofactor f(map) / X^N, N the image order, with its
         monomials of total degree n and above left out.
         """
         ctx = f.ctx
@@ -186,12 +123,7 @@ def hn_map(p, q, mu, ctx):
     """Chart map for the face (p, q) and face root mu."""
     if ctx.is_zero(mu):
         raise ZeroRoot("face root must be nonzero")
-    if p >= q:
-        ed = euclid_sequences(p, q)
-        A, B = ed.p_prime, ed.q_prime
-    else:
-        ed = euclid_sequences(q, p)
-        A, B = ed.q_prime, ed.p_prime
+    A, B, _ = chart_exponents(p, q)
     return HNMap(p, q, A, B, mu, ctx)
 
 
@@ -203,21 +135,3 @@ def transform_with_map(f, m, n=None):
     full = m.apply(f)
     n = full.x_mult()
     return n, full.div_monomial(n, 0)
-
-
-def hn_transform(f, face, root):
-    """Transform f along one face root (mu, nu) with nu >= 2.
-
-    Returns (N, w, map): f(map) = X^N w, N the face's value, w coprime to X
-    and with w(0, Y) of order exactly nu.
-    """
-    mu, nu = root
-    m = hn_map(face.p, face.q, mu, f.ctx)
-    n, w = transform_with_map(f, m)
-    if n != face.N:
-        raise InternalError(f"transform dropped X^{n}, face says {face.N}")
-    w0 = w.subs_x0()
-    order = next((i for i, c in enumerate(w0) if not f.ctx.is_zero(c)), None)
-    if order != nu:
-        raise OrderMismatch(f"cofactor has Y-order {order}, root said {nu}")
-    return n, w, m

@@ -11,9 +11,10 @@ import math
 
 from .errors import (DisconnectedNodes, InputError, InternalError,
                      NotIrreducible, NotIrreducibleBranchShape,
-                     ParityViolation, PrecisionExhausted)
+                     OrderMismatch, ParityViolation, PrecisionExhausted)
+from .field import uni_order
 from .hn import hn_map, transform_with_map
-from .poly import gcd_bipoly
+from .poly import clip_total, gcd_bipoly, vanishes_at_origin
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity
 
 INF = math.inf
@@ -117,17 +118,14 @@ def area_identity(f):
     t = build_tree(f)
     m = tree_multiplicity(t).M
     rhs = 0
-    for ev in t.events:
-        if ev[0] == "root":
-            hull = ev[1].vertices
+    for pg, n_loc in t.chains:
+        hull = pg.vertices
+        a = hull[-1][0]
+        if n_loc is None:
             b = hull[0][1]
-            a = hull[-1][0]
             pts = [(0, 0), (0, b)] + list(hull) + [(a, 0)]
             rhs += _twice_area(pts) - a - b
         else:
-            _, n_loc, pg = ev
-            hull = pg.vertices
-            a = hull[-1][0]
             pts = [(n_loc, 0)] + [(n_loc + i, j) for i, j in hull]
             pts.append((n_loc + a, 0))
             rhs += _twice_area(pts) - a
@@ -326,10 +324,6 @@ def _ser_div(ctx, a, b, n):
     return out
 
 
-def _ser_order(ctx, a):
-    return next((k for k, c in enumerate(a) if not ctx.is_zero(c)), None)
-
-
 def _ser_eval(g, phi, psi, n):
     """g(phi(t), psi(t)) mod t^n, Horner in psi over rows in phi.
 
@@ -343,8 +337,8 @@ def _ser_eval(g, phi, psi, n):
     if (phi and not ctx.is_zero(phi[0])) or (psi and not ctx.is_zero(psi[0])):
         raise InternalError("series substitution needs ord >= 1 arguments")
     # a zero series counts as order n: every monomial it enters is skipped
-    ox = _ser_order(ctx, phi) or n
-    oy = _ser_order(ctx, psi) or n
+    ox = uni_order(ctx, phi) or n
+    oy = uni_order(ctx, psi) or n
     rows = {}
     for (i, j), v in g.c.items():
         if i * ox + j * oy < n:
@@ -381,13 +375,6 @@ def _ser_powers(ctx, a, top, n):
     return out
 
 
-def _trunc_total(f, n):
-    """Drop the monomials of total degree at least n."""
-    r = f.__class__(f.ctx)
-    r.c = {k: v for k, v in f.c.items() if k[0] + k[1] < n}
-    return r
-
-
 # ---------------------------------------------------------------------------
 # branch parametrization
 
@@ -405,45 +392,12 @@ class Parametrization:
 
     def orders(self):
         """(ord phi, ord psi), None for a series that is zero so far."""
-        return (_ser_order(self.ctx, self.phi),
-                _ser_order(self.ctx, self.psi))
+        return (uni_order(self.ctx, self.phi),
+                uni_order(self.ctx, self.psi))
 
     def __repr__(self):
         o1, o2 = self.orders()
         return f"Parametrization(ord phi={o1}, ord psi={o2}, T={self.trunc})"
-
-
-def _lift_steps(steps, src, value, apply_step):
-    guard = 0
-    cur = src
-    while True:
-        done = True
-        for s, embed, dst in steps:
-            if cur == s:
-                value = apply_step(value, embed, dst)
-                cur = dst
-                done = False
-                break
-        if done:
-            return cur, value
-        guard += 1
-        if guard > len(steps) + 1:
-            raise InternalError("embedding walk does not terminate")
-
-
-def _lift_elem(steps, src, v, target):
-    cur, v = _lift_steps(steps, src, v, lambda x, emb, d: emb(x))
-    if cur != target:
-        raise InternalError("coefficient lift missed the target field")
-    return v
-
-
-def _lift_poly(steps, f, target):
-    cur, f = _lift_steps(steps, f.ctx, f,
-                         lambda g, emb, d: g.map_coeffs(emb, d))
-    if cur != target:
-        raise InternalError("polynomial lift missed the target field")
-    return f
 
 
 def _horner_s(ctx, rows, s, n, dn):
@@ -474,7 +428,7 @@ def _solve_smooth(w, n):
     dense series sum_i c_ij t^i, cut to length n - j since ord s >= 1.
     """
     ctx = w.ctx
-    order = _ser_order(ctx, w.subs_x0())
+    order = uni_order(ctx, w.subs_x0())
     if order != 1:
         raise InternalError(f"chart curve has Y-order {order}, wanted 1")
     rows = [_ser_zero(ctx, n - j) for j in range(min(w.deg_y(), n - 1) + 1)]
@@ -493,55 +447,56 @@ def _solve_smooth(w, n):
         for k, ck in enumerate(corr, h):
             if not ctx.is_zero(ck):
                 s[k] = ctx.sub(s[k], ck)
-    if _ser_order(ctx, _horner_s(ctx, rows, s, n, 0)[0]) is not None:
+    if uni_order(ctx, _horner_s(ctx, rows, s, n, 0)[0]) is not None:
         raise InternalError("Newton iteration failed to converge")
     return s
 
 
 def _maps_to_arrow(t, aid):
-    """HN maps along the path from the root to the given branch arrow,
-    with all roots lifted into the tree's final coefficient field."""
-    node = t.nodes[aid]
-    steps = t.meta["steps"]
-    ctx = t.meta["ctx"]
-    if "axis" in node.aux:
-        return None, node.aux["axis"]
-    specs = []
-    cidx = node.aux["chain"]
-    while cidx is not None:
-        rec = t.chains[cidx]
-        if rec["map"] is not None:
-            specs.append(rec["map"])
-        cidx = t.chain_of[rec["parent"]] if rec["parent"] is not None else None
-    specs.reverse()
-    specs.append((node.aux["p"], node.aux["q"], node.aux["mu"],
-                  node.aux["ctx"]))
-    maps = []
-    for p, q, mu, mctx in specs:
-        maps.append(hn_map(p, q, _lift_elem(steps, mctx, mu, ctx), ctx))
-    return maps, None
+    """Chart maps along the path from the root to a face-root branch arrow."""
+    return [hn_map(p, q, mu, t.ctx) for p, q, mu, _, _ in t.nodes[aid].path]
 
 
 def _parametrize_arrow(f, t, aid, n):
-    ctx = t.meta["ctx"]
-    maps, axis = _maps_to_arrow(t, aid)
-    if axis is not None:
+    """Series of the branch ending in the given arrow, mod t^n.
+
+    Only trees over f's own field are accepted: a tree with one branch
+    never extends it, since a face polynomial lead (u - mu)^nu over a
+    perfect field has mu in that field.
+    """
+    ctx = f.ctx
+    if t.ctx != ctx:
+        raise InternalError("tree field differs from the curve's")
+    path = t.nodes[aid].path
+    if path is None:
+        # an axis branch, labelled "x = 0" or "y = 0"
         if t.vertices():
             raise InternalError("axis branch on a tree with vertices")
         phi, psi = _ser_zero(ctx, n), _ser_zero(ctx, n)
         if n > 1:
-            if axis == "x":
+            if t.nodes[aid].label[0] == "x":
                 psi[1] = ctx.one
             else:
                 phi[1] = ctx.one
         return Parametrization(phi, psi, n, ctx)
-    h = _trunc_total(_lift_poly(t.meta["steps"], f, ctx), n)
-    for m in maps:
+    maps = _maps_to_arrow(t, aid)
+    h, cut = clip_total(f, n)
+    for m, (_, _, _, N, nu) in zip(maps, path):
         if not h.c:
             raise PrecisionExhausted("precision too low for the chart chain")
-        _, h = transform_with_map(h, m, n)
-    if not h.c:
-        raise PrecisionExhausted("precision too low for the chart chain")
+        got, w = transform_with_map(h, m, n)
+        # the truncated chain follows the tree unless something was cut:
+        # terms of f, or cofactor terms of total degree n and above
+        cut = cut or any((m.p + m.A) * i + (m.q + m.B) * j - got >= n
+                         for i, j in h.c)
+        h = w
+        order = uni_order(ctx, h.subs_x0())
+        if (got, order) != (N, nu):
+            if cut:
+                raise PrecisionExhausted(
+                    f"precision {n} too low for the chart chain")
+            raise OrderMismatch(f"chart gives X^{got} and Y-order {order}, "
+                                f"the tree says X^{N} and {nu}")
     psi = _solve_smooth(h, n)
     phi = _ser_zero(ctx, n)
     if n > 1:
@@ -554,8 +509,8 @@ def _parametrize_arrow(f, t, aid, n):
         ya = _ser_mul(ctx, _ser_pow(ctx, phi, m.q, n),
                       _ser_pow(ctx, shift, m.B, n), n)
         phi, psi = xa, ya
-    res = _ser_eval(_lift_poly(t.meta["steps"], f, ctx), phi, psi, n)
-    if _ser_order(ctx, res) is not None:
+    res = _ser_eval(f, phi, psi, n)
+    if uni_order(ctx, res) is not None:
         raise InternalError("parametrization does not annihilate the curve")
     return Parametrization(phi, psi, n, ctx)
 
@@ -577,13 +532,9 @@ def parametrize_branch(f, terms=64):
 # intersection multiplicities
 
 
-def _vanishes_at_origin(f):
-    return f.is_zero() or f.ctx.is_zero(f.coeff(0, 0))
-
-
 def _common_through_origin(f, g):
     if f.is_zero() or g.is_zero():
-        return _vanishes_at_origin(f) and _vanishes_at_origin(g)
+        return vanishes_at_origin(f) and vanishes_at_origin(g)
     d = gcd_bipoly(f, g)
     return d.ord() > 0 if len(d.c) else False
 
@@ -593,7 +544,7 @@ def intersect_tree(f, g):
     when f and g share a component through the origin."""
     if f.ctx != g.ctx:
         raise InternalError("mixed coefficient contexts")
-    if not _vanishes_at_origin(f) or not _vanishes_at_origin(g):
+    if not vanishes_at_origin(f) or not vanishes_at_origin(g):
         return 0
     if _common_through_origin(f, g):
         return INF
@@ -608,7 +559,7 @@ def intersect_param(f, g, terms=None):
     until the order certificate (order < T/2) holds."""
     if f.ctx != g.ctx:
         raise InternalError("mixed coefficient contexts")
-    if not _vanishes_at_origin(f) or not _vanishes_at_origin(g):
+    if not vanishes_at_origin(f) or not vanishes_at_origin(g):
         return 0
     if _common_through_origin(f, g):
         return INF
@@ -623,15 +574,13 @@ def intersect_param(f, g, terms=None):
             n *= 2
     else:
         n = max(int(terms), 4)
-    ctx = t.meta["ctx"]
-    gl = _lift_poly(t.meta["steps"], g, ctx)
     while n <= PRECISION_CAP:
         try:
             par = _parametrize_arrow(f, t, arrows[0].nid, n)
         except PrecisionExhausted:
             n *= 2
             continue
-        order = _ser_order(ctx, _ser_eval(gl, par.phi, par.psi, n))
+        order = uni_order(f.ctx, _ser_eval(g, par.phi, par.psi, n))
         if order is not None and 2 * order < n:
             return order
         n *= 2

@@ -9,10 +9,12 @@ terminates.
 """
 
 from .errors import InternalError, TruncationUnstable
-from .field import field_ctx, uni_deg, uni_divmod, uni_gcd, uni_trim
+from .field import (field_ctx, uni_deg, uni_divmod, uni_gcd, uni_order,
+                    uni_trim)
 from .invariants import INF, rho, tree_mu_bar
 from .newton import newton_polygon
-from .poly import BiPoly, gcd_bipoly, mul_unit_truncated, partials
+from .poly import (BiPoly, clip_total, gcd_bipoly, mul_unit_truncated,
+                   partials, vanishes_at_origin)
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity, \
     vertex_report
 
@@ -32,22 +34,6 @@ class LocalMult:
 
     def __repr__(self):
         return f"LocalMult({self.value})"
-
-
-def _vanishes(f):
-    return f.is_zero() or f.ctx.is_zero(f.coeff(0, 0))
-
-
-def _ord_of(ctx, coeffs):
-    return next((k for k, c in enumerate(coeffs) if not ctx.is_zero(c)), None)
-
-
-def _clip(f, n):
-    """Drop total degree >= n; second value says whether anything fell."""
-    kept = {k: v for k, v in f.c.items() if k[0] + k[1] < n}
-    if len(kept) == len(f.c):
-        return f, False
-    return BiPoly(f.ctx, kept), True
 
 
 def _sub_mul_clip(g, f, q, n):
@@ -86,8 +72,8 @@ def _reduce_pair(f, g, n):
     ctx = f.ctx
     acc = 0
     base = None  # acc when truncation first bit, None while the run is exact
-    f, fc = _clip(f, n)
-    g, gc = _clip(g, n)
+    f, fc = clip_total(f, n)
+    g, gc = clip_total(g, n)
     if fc or gc:
         base = 0
     if f.is_zero() or g.is_zero():
@@ -98,7 +84,7 @@ def _reduce_pair(f, g, n):
         # runs live until the certificate itself is dead
         if acc >= n and (base is None or acc - base >= n):
             return None
-        if not _vanishes(f) or not _vanishes(g):
+        if not vanishes_at_origin(f) or not vanishes_at_origin(g):
             return acc if base is None or acc - base < n else None
         for first in (True, False):
             h = f if first else g
@@ -108,7 +94,7 @@ def _reduce_pair(f, g, n):
                 for mult, rest in ((a, other.subs_x0()), (b, other.subs_y0())):
                     if not mult:
                         continue
-                    o = _ord_of(ctx, rest)
+                    o = uni_order(ctx, rest)
                     if o is None:
                         # an axis divides both: proof of a common branch
                         # when nothing was cut, inconclusive otherwise
@@ -119,7 +105,7 @@ def _reduce_pair(f, g, n):
                     f = h
                 else:
                     g = h
-        if not _vanishes(f) or not _vanishes(g):
+        if not vanishes_at_origin(f) or not vanishes_at_origin(g):
             return acc if base is None or acc - base < n else None
         fr = f.subs_y0()
         gr = g.subs_y0()
@@ -150,8 +136,8 @@ def local_intersection(g, h):
         raise InternalError("mixed coefficient contexts")
     if g.is_zero() or h.is_zero():
         other = h if g.is_zero() else g
-        return LocalMult(INF if _vanishes(other) else 0)
-    if not _vanishes(g) or not _vanishes(h):
+        return LocalMult(INF if vanishes_at_origin(other) else 0)
+    if not vanishes_at_origin(g) or not vanishes_at_origin(h):
         return LocalMult(0)
     bound = max(i + j for i, j in g.c) * max(i + j for i, j in h.c)
     n = _REDUCE_START
@@ -215,7 +201,7 @@ def _face_system_roots(f, face):
         g = a
     else:
         g = uni_gcd(ctx, a, b)
-    lead = _ord_of(ctx, g)
+    lead = uni_order(ctx, g)
     return uni_deg(g) - lead >= 1
 
 

@@ -195,33 +195,20 @@ def partials(f):
     return fx, fy
 
 
-def substitute(f, xv, yv):
-    """f(xv, yv) for BiPoly arguments xv, yv."""
-    ctx = f.ctx
-    by_i = {}
-    for (i, j), v in f.c.items():
-        by_i.setdefault(i, {})[j] = v
-    ypows = {0: BiPoly.const(ctx, ctx.one)}
-    maxj = max((max(d) for d in by_i.values()), default=0)
-    for j in range(1, maxj + 1):
-        ypows[j] = ypows[j - 1] * yv
-    # Horner in xv over the grouped rows
-    rows = sorted(by_i)
-    acc = BiPoly.zero(ctx)
-    prev = None
-    for i in reversed(rows):
-        if prev is not None:
-            for _ in range(prev - i):
-                acc = acc * xv
-        row = BiPoly.zero(ctx)
-        for j, v in by_i[i].items():
-            row = row + ypows[j].scale(v)
-        acc = acc + row
-        prev = i
-    if prev is not None:
-        for _ in range(prev):
-            acc = acc * xv
-    return acc
+def vanishes_at_origin(f):
+    """f(0, 0) == 0, the zero polynomial included."""
+    return f.is_zero() or f.ctx.is_zero(f.coeff(0, 0))
+
+
+def clip_total(f, n):
+    """f without its monomials of total degree n and above, and whether
+    any fell."""
+    kept = {k: v for k, v in f.c.items() if k[0] + k[1] < n}
+    if len(kept) == len(f.c):
+        return f, False
+    r = BiPoly(f.ctx)
+    r.c = kept
+    return r, True
 
 
 def mul_unit_truncated(f, unit, trunc):

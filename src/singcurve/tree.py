@@ -19,6 +19,7 @@ import math
 from .errors import (DisconnectedNodes, IndivisibleArrowhead, InternalError,
                      NotReduced, RecursionCapExceeded, UnitInput,
                      ZeroPolynomial)
+from .field import uni_order
 from .hn import hn_map, transform_with_map
 from .newton import face_factorization, newton_polygon
 from .poly import reduced_check
@@ -31,13 +32,16 @@ class Node:
 
     Vertices carry the pair (q, p) of near-decorations and the glued N.
     Zero-arrows carry their arrowhead multiplicity in N.  Branch arrows carry
-    the index of the input factor they belong to and a display label.
+    the index of the input factor they belong to and a display label; one
+    that ends a face root also carries its chart path, one (p, q, mu, N, nu)
+    per chart from the root of the tree down to it, with N the local face
+    value and nu the root multiplicity (1 on the last chart).
     """
 
-    __slots__ = ("nid", "kind", "N", "p", "q", "owner", "label", "aux")
+    __slots__ = ("nid", "kind", "N", "p", "q", "owner", "label", "path")
 
     def __init__(self, nid, kind, N=None, p=None, q=None, owner=None,
-                 label=None, aux=None):
+                 label=None, path=None):
         self.nid = nid
         self.kind = kind
         self.N = N
@@ -45,7 +49,7 @@ class Node:
         self.q = q
         self.owner = owner
         self.label = label
-        self.aux = aux if aux is not None else {}
+        self.path = path
 
     def __repr__(self):
         if self.kind == "vertex":
@@ -58,17 +62,19 @@ def _idnum(nid):
 
 
 class NewtonTree:
-    __slots__ = ("nodes", "edges", "adj", "chains", "chain_of", "events",
-                 "meta", "_nv", "_na", "_ne")
+    """Nodes and decorated edges, plus one (polygon, glue N) record per
+    chain (glue N is None at the root) and the coefficient field of the
+    face roots."""
+
+    __slots__ = ("nodes", "edges", "adj", "chains", "ctx", "_nv", "_na",
+                 "_ne")
 
     def __init__(self):
         self.nodes = {}
         self.edges = {}
         self.adj = {}
         self.chains = []
-        self.chain_of = {}
-        self.events = []
-        self.meta = {}
+        self.ctx = None
         self._nv = 0
         self._na = 0
         self._ne = 0
@@ -82,11 +88,11 @@ class NewtonTree:
         self.adj[nid] = []
         return nid
 
-    def new_arrow(self, kind, N=None, owner=None, label=None, aux=None):
+    def new_arrow(self, kind, N=None, owner=None, label=None, path=None):
         nid = f"a{self._na}"
         self._na += 1
         self.nodes[nid] = Node(nid, kind, N=N, owner=owner, label=label,
-                               aux=aux)
+                               path=path)
         self.adj[nid] = []
         return nid
 
@@ -141,9 +147,7 @@ class NewtonTree:
         t.edges = dict(self.edges)
         t.adj = {nid: list(eids) for nid, eids in self.adj.items()}
         t.chains = self.chains
-        t.chain_of = self.chain_of
-        t.events = self.events
-        t.meta = self.meta
+        t.ctx = self.ctx
         t._nv, t._na, t._ne = self._nv, self._na, self._ne
         return t
 
@@ -201,9 +205,9 @@ def tree_from_json_dict(d):
     """Rebuild a tree from the to_json_dict schema.
 
     Restores what the schema keeps: kinds, N values, decorations and
-    incidence.  Chain bookkeeping and the recursion event log are not
+    incidence.  The chain records and the arrows' chart paths are not
     recoverable, so minimalize/multiplicity/report work on the result
-    but a rebuilt tree cannot replay the area identity.
+    but a rebuilt tree cannot replay the area identity or parametrize.
     """
     t = NewtonTree()
     for rec in d["vertices"]:
@@ -249,25 +253,33 @@ class TreeMultiplicity:
 
 
 class _Builder:
+    """Recursive chain construction over a growing coefficient field.
+
+    embed maps every field met so far to one embedding into the current
+    field self.ctx; each extension composes it with the new embedding, so
+    every value is lifted by the same root choices.
+    """
+
     def __init__(self, ctx, cap=RECURSION_CAP):
         self.tree = NewtonTree()
         self.ctx = ctx
-        self.steps = []
+        self.embed = {}
         self.cap = cap
 
+    def extend(self, ff):
+        if ff.ctx == self.ctx:
+            return
+        e = ff.embed
+        self.embed = {c: (lambda a, g=g: e(g(a))) for c, g in self.embed.items()}
+        self.embed[self.ctx] = e
+        self.ctx = ff.ctx
+
     def lift_poly(self, f):
-        guard = 0
-        while f.ctx != self.ctx:
-            for src, embed, dst in self.steps:
-                if f.ctx == src:
-                    f = f.map_coeffs(embed, dst)
-                    break
-            else:
-                raise InternalError("no embedding step for coefficient field")
-            guard += 1
-            if guard > len(self.steps):
-                raise InternalError("embedding walk does not terminate")
-        return f
+        if f.ctx == self.ctx:
+            return f
+        if f.ctx not in self.embed:
+            raise InternalError("no embedding for coefficient field")
+        return f.map_coeffs(self.embed[f.ctx], self.ctx)
 
     def _strand_T(self, h, face):
         """Coefficients of h along its own minimal line of direction (p, q).
@@ -312,7 +324,7 @@ class _Builder:
         """Build the chain of the product of strands.
 
         strands: list of (owner, BiPoly); glue: None at the root, else
-        (parent vertex id, p_par * q_par, N_par, map tuple).
+        (parent vertex id, p_par * q_par, N_par, chart path to here).
         """
         if depth > self.cap:
             raise RecursionCapExceeded(f"chain depth exceeded {self.cap}")
@@ -321,42 +333,33 @@ class _Builder:
         for _, h in strands[1:]:
             g = g * h
         P = newton_polygon(g)
-        if glue is None:
-            self.tree.events.append(("root", P))
-        else:
-            self.tree.events.append(("sub", glue[4], P))
+        t = self.tree
+        t.chains.append((P, glue[3][-1][3] if glue else None))
         if P.i0 > 1 or P.j0 > 1:
             raise NotReduced(
                 f"axis factor with multiplicity {max(P.i0, P.j0)}")
         if glue is not None and P.i0 != 0:
             raise InternalError("transformed cofactor divisible by X")
 
-        t = self.tree
-        chain_idx = len(t.chains)
-        rec = {"parent": glue[0] if glue else None,
-               "map": glue[3] if glue else None, "vertices": []}
-        t.chains.append(rec)
-
         if not P.faces:
             if glue is not None:
                 raise InternalError("glued polygon with no compact face")
             top = self._axis_arrow(strands, "x") if P.i0 == 1 else \
-                t.new_arrow("zero", N=1, aux={"side": "top"})
+                t.new_arrow("zero", N=1)
             bot = self._axis_arrow(strands, "y") if P.j0 == 1 else \
-                t.new_arrow("zero", N=1, aux={"side": "bottom"})
+                t.new_arrow("zero", N=1)
             t.add_edge(top, bot, 1, 1)
             return
 
         pq_glue = glue[1] if glue else 0
         n_glue = glue[2] if glue else 0
+        path = glue[3] if glue else ()
         prev_vid = None
         prev_p = None
         for idx, face in enumerate(P.faces):
             q_bar = face.q + face.p * pq_glue
             n_bar = face.N + face.p * n_glue
             vid = t.new_vertex(n_bar, face.p, q_bar)
-            rec["vertices"].append(vid)
-            t.chain_of[vid] = chain_idx
             if idx == 0:
                 if glue is not None:
                     t.add_edge(glue[0], vid, 1, q_bar)
@@ -365,20 +368,17 @@ class _Builder:
                 else:
                     if n_bar % q_bar != 0:
                         raise IndivisibleArrowhead(f"{q_bar} does not divide {n_bar}")
-                    aid = t.new_arrow("zero", N=n_bar // q_bar,
-                                      aux={"side": "top", "chain": chain_idx})
+                    aid = t.new_arrow("zero", N=n_bar // q_bar)
                     t.add_edge(aid, vid, 1, q_bar)
             else:
                 t.add_edge(prev_vid, vid, prev_p, q_bar)
 
+            # a root of an earlier face may have extended the field
             g = self.lift_poly(g)
             ff = face_factorization(g, face)
-            if ff.ctx != self.ctx:
-                self.steps.append((self.ctx, ff.embed, ff.ctx))
-                self.ctx = ff.ctx
-                strands = [(m, self.lift_poly(h)) for m, h in strands]
-            self._face_roots(strands, face, ff, vid, q_bar, n_bar,
-                             chain_idx, depth)
+            self.extend(ff)
+            self._face_roots(strands, face, ff, vid, q_bar, n_bar, path,
+                             depth)
             prev_vid, prev_p = vid, face.p
 
         if P.j0 == 1:
@@ -386,8 +386,7 @@ class _Builder:
         else:
             if n_bar % prev_p != 0:
                 raise IndivisibleArrowhead(f"{prev_p} does not divide {n_bar}")
-            aid = t.new_arrow("zero", N=n_bar // prev_p,
-                              aux={"side": "bottom", "chain": chain_idx})
+            aid = t.new_arrow("zero", N=n_bar // prev_p)
         t.add_edge(prev_vid, aid, prev_p, 1)
 
     def _axis_arrow(self, strands, axis):
@@ -399,40 +398,40 @@ class _Builder:
         if len(owners) != 1:
             raise InternalError(f"{axis}-axis factor has {len(owners)} owners")
         return self.tree.new_arrow("branch", owner=owners[0],
-                                   label=f"{axis} = 0", aux={"axis": axis})
+                                   label=f"{axis} = 0")
 
-    def _face_roots(self, strands, face, ff, vid, q_bar, n_bar, chain_idx,
-                    depth):
+    def _face_roots(self, strands, face, ff, vid, q_bar, n_bar, path, depth):
         t = self.tree
-        mults = []
-        total_n = 0
-        for m, h in strands:
-            best, T = self._strand_T(h, face)
-            total_n += best
-            mults.append(T)
-        if total_n != face.N:
-            raise InternalError("strand face values do not sum to N")
+        ctx = None
         for mu, nu in ff.roots:
-            per = [self._root_mult(T, mu) for T in mults]
+            if ctx != self.ctx:
+                # first root, or the chain of the last one extended the
+                # field: bring the strands and the root into it
+                ctx = self.ctx
+                strands = [(m, self.lift_poly(h)) for m, h in strands]
+                lines = [self._strand_T(h, face) for _, h in strands]
+                if sum(best for best, _ in lines) != face.N:
+                    raise InternalError("strand face values do not sum to N")
+            if ff.ctx != ctx:
+                mu = self.embed[ff.ctx](mu)
+            per = [self._root_mult(T, mu) for _, T in lines]
             if sum(per) != nu:
                 raise InternalError("strand root multiplicities do not sum")
+            sub = path + ((face.p, face.q, mu, face.N, nu),)
             if nu == 1:
                 owner = strands[per.index(1)][0]
                 aid = t.new_arrow("branch", owner=owner,
-                                  label=f"x^{face.q} = ({self.ctx.to_str(mu)}) y^{face.p}",
-                                  aux={"mu": mu, "p": face.p, "q": face.q,
-                                       "ctx": self.ctx, "chain": chain_idx})
+                                  label=f"x^{face.q} = ({ctx.to_str(mu)}) y^{face.p}",
+                                  path=sub)
                 t.add_edge(vid, aid, 1, 1)
                 continue
-            hmap = hn_map(face.p, face.q, mu, self.ctx)
+            hmap = hn_map(face.p, face.q, mu, ctx)
             subs = []
             stripped = 0
             for (m, h), nu_m in zip(strands, per):
                 n_m, w_m = transform_with_map(h, hmap)
                 stripped += n_m
-                w0 = w_m.subs_x0()
-                got = next((k for k, c in enumerate(w0)
-                            if not self.ctx.is_zero(c)), None)
+                got = uni_order(ctx, w_m.subs_x0())
                 if got != nu_m:
                     raise InternalError(
                         f"cofactor order {got} for strand of multiplicity {nu_m}")
@@ -441,8 +440,7 @@ class _Builder:
                 subs.append((m, w_m))
             if stripped != face.N:
                 raise InternalError("stripped powers do not sum to N")
-            self.chain(subs, (vid, face.p * q_bar, n_bar,
-                              (face.p, face.q, mu, self.ctx), face.N), depth + 1)
+            self.chain(subs, (vid, face.p * q_bar, n_bar, sub), depth + 1)
 
 
 def build_tree_multi(factors, check=True):
@@ -467,8 +465,7 @@ def build_tree_multi(factors, check=True):
             raise NotReduced(f"repeated factor through the origin: {wit!r}")
     b = _Builder(ctx)
     b.chain(list(enumerate(factors)), None, 0)
-    b.tree.meta["ctx"] = b.ctx
-    b.tree.meta["steps"] = b.steps
+    b.tree.ctx = b.ctx
     b.tree.check_connected()
     return b.tree
 

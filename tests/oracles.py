@@ -4,8 +4,15 @@ Everything here is deliberately naive (exhaustive scans, sympy, direct
 series substitution) and shares no code with the library's own algorithms.
 """
 
+from collections import namedtuple
+
 import sympy
 from sympy import GF, Poly, symbols
+
+from singcurve.errors import (BadOrder, InternalError, NotCoprime,
+                             OrderMismatch, ParityViolation)
+from singcurve.hn import hn_map, transform_with_map
+from singcurve.poly import BiPoly
 
 X, Y, U, T = symbols("x y u t")
 
@@ -274,16 +281,15 @@ def newton_solve(w, n):
 
 def reference_parametrization(f, n):
     """(phi, psi) mod t^n for the single, non-axis branch of f."""
-    from singcurve.hn import transform_with_map
-    from singcurve.invariants import _lift_poly, _maps_to_arrow
+    from singcurve.invariants import _maps_to_arrow
     from singcurve.tree import build_tree
 
     t = build_tree(f)
     (arrow,) = t.arrows("branch")
-    ctx = t.meta["ctx"]
-    maps, axis = _maps_to_arrow(t, arrow.nid)
-    assert axis is None, "axis branches have no chart chain"
-    h = _ref_trunc(_lift_poly(t.meta["steps"], f, ctx), n)
+    ctx = f.ctx
+    assert arrow.path is not None, "axis branches have no chart chain"
+    maps = _maps_to_arrow(t, arrow.nid)
+    h = _ref_trunc(f, n)
     for m in maps:
         _, h = transform_with_map(h, m)
         h = _ref_trunc(h, n)
@@ -299,3 +305,125 @@ def reference_parametrization(f, n):
             _ref_mul(ctx, _ref_pow(ctx, phi, m.q, n),
                      _ref_pow(ctx, shift, m.B, n), n))
     return phi, psi
+
+
+# ---------------------------------------------------------------------------
+# Hamburger-Noether charts the long way: the Euclid recurrence sequences
+# behind the chart exponents, checked against their defining identities,
+# the chart images as polynomials, a generic substitution, and one
+# transform step checked against its face.
+
+
+# Subscripts follow the chain p = k_1 q + r_1, ..., r_nbar = k_(nbar+2),
+# with r_(nbar+1) = 1.  The dicts m, n run over 0..nbar+2 and mt, nt over
+# 0..nbar+1; p_prime = n_(nbar+2) and q_prime = nt_(nbar+1).
+EuclidData = namedtuple("EuclidData",
+                        "p q k r nbar m n mt nt p_prime q_prime")
+
+
+def euclid_sequences(p, q):
+    """Sequences for coprime p >= q >= 1."""
+    if p < q or q < 1:
+        raise BadOrder(f"need p >= q >= 1, got ({p}, {q})")
+    r = {0: q}
+    k = {}
+    a, b = p, q
+    i = 0
+    while b != 0:
+        i += 1
+        k[i], b2 = divmod(a, b)
+        a, b = b, b2
+        r[i] = b
+    if a != 1:
+        raise NotCoprime(f"gcd({p}, {q}) = {a}")
+    # r[nbar + 1] = 1, r[nbar + 2] = 0
+    nbar = i - 2 if q > 1 else -1
+    if r[nbar + 1] != 1 or r.get(nbar + 2, 0) != 0:
+        raise InternalError("remainder chain out of shape")
+    m, n = {0: 1}, {0: 0}
+    for j in range(nbar + 2):
+        m[j + 1] = m[j] * k[j + 1] + n[j]
+        n[j + 1] = m[j]
+    mt, nt = {0: 1}, {0: 0}
+    for j in range(nbar + 1):
+        mt[j + 1] = mt[j] * k[j + 2] + nt[j]
+        nt[j + 1] = mt[j]
+    ed = EuclidData(p, q, k, r, nbar, m, n, mt, nt, n[nbar + 2],
+                    nt[nbar + 1])
+    _check_euclid(ed)
+    return ed
+
+
+def _check_euclid(ed):
+    p, q, r, nbar = ed.p, ed.q, ed.r, ed.nbar
+    rfull = {-1: p}
+    rfull.update(r)
+    for i in range(nbar + 3):
+        if p != ed.m[i] * rfull[i - 1] + ed.n[i] * rfull[i]:
+            raise InternalError("p-recurrence violated")
+    for i in range(nbar + 2):
+        if q != ed.mt[i] * rfull[i] + ed.nt[i] * rfull.get(i + 1, 0):
+            raise InternalError("q-recurrence violated")
+    for i in range(nbar + 2):
+        delta = ed.n[i + 1] * ed.mt[i] - ed.nt[i] * ed.m[i + 1]
+        if delta != (-1) ** i:
+            raise ParityViolation(f"Delta_{i} = {delta}")
+    if p != ed.m[nbar + 2] or q != ed.mt[nbar + 1]:
+        raise InternalError("final sequence values disagree with (p, q)")
+    if not (0 <= ed.p_prime <= p and 0 <= ed.q_prime <= q):
+        raise InternalError("final exponents out of range")
+    det = p * ed.q_prime - q * ed.p_prime
+    if det * (-1) ** (nbar % 2) != 1:
+        raise ParityViolation(f"chart determinant {det} at nbar={nbar}")
+
+
+def euclid_exponents(p, q):
+    """(A, B, sign) of the chart for the face (p, q), from the sequences."""
+    if p >= q:
+        ed = euclid_sequences(p, q)
+        A, B = ed.p_prime, ed.q_prime
+    else:
+        ed = euclid_sequences(q, p)
+        A, B = ed.q_prime, ed.p_prime
+    return A, B, q * A - p * B
+
+
+def _chart_image(m, a, e):
+    shift = BiPoly(m.ctx, {(0, 1): m.ctx.one, (0, 0): m.mu_bar})
+    return BiPoly.monomial(m.ctx, a, 0) * shift ** e
+
+
+def x_image(m):
+    """X^p (Y + mu_bar)^A for the chart map m."""
+    return _chart_image(m, m.p, m.A)
+
+
+def y_image(m):
+    """X^q (Y + mu_bar)^B for the chart map m."""
+    return _chart_image(m, m.q, m.B)
+
+
+def substitute(f, xv, yv):
+    """f(xv, yv) for BiPoly arguments xv, yv, term by term."""
+    acc = BiPoly.zero(f.ctx)
+    for (i, j), v in f.c.items():
+        acc = acc + (xv ** i * yv ** j).scale(v)
+    return acc
+
+
+def hn_transform(f, face, root):
+    """Transform f along one face root (mu, nu) with nu >= 2.
+
+    Returns (N, w, map): f(map) = X^N w, N the face's value, w coprime to X
+    and with w(0, Y) of order exactly nu.
+    """
+    mu, nu = root
+    m = hn_map(face.p, face.q, mu, f.ctx)
+    n, w = transform_with_map(f, m)
+    if n != face.N:
+        raise InternalError(f"transform dropped X^{n}, face says {face.N}")
+    w0 = w.subs_x0()
+    order = next((i for i, c in enumerate(w0) if not f.ctx.is_zero(c)), None)
+    if order != nu:
+        raise OrderMismatch(f"cofactor has Y-order {order}, root said {nu}")
+    return n, w, m

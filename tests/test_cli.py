@@ -104,6 +104,25 @@ def test_parametrize_rejects_terms_above_the_limit():
     assert out.startswith("input error:") and "16384" in out
 
 
+def test_parametrize_reports_too_few_terms_as_bad_input():
+    for f_text, p, terms in ((EX1, 7, 16), ("x^2 - y^5 + x^3", 0, 3)):
+        code, out = run(RunConfig("parametrize", p=p, f_text=f_text,
+                                  terms=terms))
+        assert code == 2, out
+        assert "too low for the chart chain" in out
+
+
+def test_multiplicity_when_a_deeper_root_extends_the_field():
+    out = _ok("multiplicity", p=3, f_text="((y-x)^2 - 2x^4)(y+x)")
+    assert out == "|M| = 5\nM = -5"
+
+
+def test_huge_prime_field_answers_fast():
+    start = time.perf_counter()
+    assert _ok("mu", p=1000000000000000003, f_text="x^2-y^3") == "2"
+    assert time.perf_counter() - start < 2
+
+
 def test_area_check_command():
     out = _ok("area-check", f_text=EX1)
     assert out.splitlines() == ["-M = 155", "area sum = 155", "equal: yes"]

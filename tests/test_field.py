@@ -77,6 +77,21 @@ def test_is_prime_against_trial(n):
     assert is_prime(n) == naive
 
 
+def test_is_prime_on_strong_pseudoprimes_and_the_limit():
+    sieve = [True] * 20000
+    sieve[0] = sieve[1] = False
+    for d in range(2, 142):
+        sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [n for n in range(20000) if is_prime(n)] == \
+        [n for n in range(20000) if sieve[n]]
+    # strong pseudoprimes to the bases 2..7 and 2..23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(1000000000000000003) and is_prime(2 ** 61 - 1)
+    with pytest.raises(InputError):
+        is_prime(2 ** 89 - 1)
+
+
 def test_bad_ctx_args():
     with pytest.raises(InputError):
         field_ctx(6)

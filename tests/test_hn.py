@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from singcurve.errors import BadOrder, NotCoprime, OrderMismatch, ZeroRoot
 from singcurve.field import field_ctx
-from singcurve.hn import (euclid_sequences, hn_map, hn_transform,
-                          transform_with_map)
+from singcurve.hn import chart_exponents, hn_map, transform_with_map
 from singcurve.newton import newton_polygon
-from singcurve.poly import BiPoly, parse_poly, substitute
+from singcurve.poly import BiPoly, parse_poly
 
 from curves import EX1
+from oracles import (euclid_exponents, euclid_sequences, hn_transform,
+                     x_image, y_image)
 
 QQ = field_ctx(0)
 
@@ -77,6 +78,20 @@ def test_euclid_invariants(a, b):
     assert det == (-1) ** (nb % 2)
 
 
+def test_chart_exponents_match_the_euclid_recurrences():
+    for p in range(1, 201):
+        for q in range(1, 201):
+            if math.gcd(p, q) == 1:
+                assert chart_exponents(p, q) == euclid_exponents(p, q), (p, q)
+
+
+def test_chart_exponents_reject():
+    with pytest.raises(NotCoprime):
+        chart_exponents(6, 4)
+    with pytest.raises(BadOrder):
+        chart_exponents(3, 0)
+
+
 def test_hn_map_exponents():
     m = hn_map(3, 2, QQ.one, QQ)
     assert (m.A, m.B, m.sign) == (1, 1, -1)
@@ -104,8 +119,8 @@ def test_hn_map_images():
     m = hn_map(2, 1, QQ.from_int(5776), QQ)
     assert (m.A, m.B, m.sign) == (1, 0, 1)
     assert m.mu_bar == Fraction(5776)
-    xs = m.x_image()
-    ys = m.y_image()
+    xs = x_image(m)
+    ys = y_image(m)
     assert xs.c == {(2, 1): Fraction(1), (2, 0): Fraction(5776)}
     assert ys.c == {(1, 0): Fraction(1)}
 

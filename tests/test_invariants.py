@@ -6,7 +6,7 @@ import random
 import pytest
 
 from singcurve.errors import (InternalError, NotIrreducible,
-                              NotIrreducibleBranchShape)
+                              NotIrreducibleBranchShape, PrecisionExhausted)
 from singcurve.field import field_ctx
 from singcurve.invariants import (INF, Parametrization, ZariskiSeq,
                                   area_identity, conductor, delta,
@@ -15,7 +15,7 @@ from singcurve.invariants import (INF, Parametrization, ZariskiSeq,
                                   rho, rho_bar, semigroup_gaps,
                                   semigroup_membership, tree_delta,
                                   tree_mu_bar, zariski_sequence)
-from singcurve.invariants import _ser_eval
+from singcurve.invariants import _parametrize_arrow, _ser_eval
 from singcurve.poly import BiPoly, parse_poly
 from singcurve.tree import build_tree, build_tree_multi, minimalize
 
@@ -302,6 +302,26 @@ def test_intersect_over_prime_fields():
 def test_intersect_param_respects_explicit_precision():
     cusp = _q("x^2 - y^3")
     assert intersect_param(cusp, _q("x^3 - y^2"), terms=64) == 4
+
+
+def test_intersect_param_doubles_past_a_truncated_chart_chain():
+    # at 16 terms the cut drops face terms of EX1 and the chart chain
+    # leaves the tree, so the precision has to double
+    f7 = field_ctx(7)
+    f, x = parse_poly(EX1, f7), parse_poly("x", f7)
+    assert intersect_param(f, x, terms=16) == intersect_tree(f, x) == 12
+
+
+def test_chart_chain_mismatch_without_a_cut_is_internal():
+    f = _q("y^2 - x^3")
+    t = build_tree(f)
+    (arrow,) = t.arrows("branch")
+    p, q, mu, N, nu = arrow.path[-1]
+    arrow.path = arrow.path[:-1] + ((p, q, mu, N + 1, nu),)
+    with pytest.raises(InternalError):
+        _parametrize_arrow(f, t, arrow.nid, 64)
+    with pytest.raises(PrecisionExhausted):
+        _parametrize_arrow(f, t, arrow.nid, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from singcurve.errors import NotAUnit, ParseError, ZeroPolynomial
 from singcurve.field import field_ctx
 from singcurve.poly import (BiPoly, gcd_bipoly, mul_unit_truncated,
-                            parse_poly, partials, poly_str, reduced_check,
-                            substitute)
+                            parse_poly, partials, poly_str, reduced_check)
+
+from oracles import substitute
 
 QQ = field_ctx(0)
 F5 = field_ctx(5)

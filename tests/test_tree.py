@@ -203,7 +203,7 @@ def test_multi_factor_owners():
     t = build_tree_multi(fs)
     owners = {n.owner for n in t.arrows("branch")}
     assert owners == {0, 1}
-    axis = [n for n in t.arrows("branch") if n.aux.get("axis") == "x"]
+    axis = [n for n in t.arrows("branch") if n.label == "x = 0"]
     assert len(axis) == 1 and axis[0].owner == 1
 
 
@@ -217,6 +217,26 @@ def test_multi_factor_shared_face_root():
     assert not multiplicity_sum_check(t)
     single = build_tree(parse_poly("(x^2 - y^3)(x^2 - y^3 + x^3)", QQ))
     assert tree_multiplicity(t).M == tree_multiplicity(single).M
+
+
+# germs over F_3 whose first face splits only over F_9, followed by a
+# sibling root or a later face: (germ, M, delta, branches)
+SPLIT_AFTER_DEEPER_ROOT = [
+    ("((y-x)^2 - 2x^4)(y+x)", -5, 4, 3),
+    ("((y-x)^2 - 2x^4)((y+x)^2 - 2x^4)", -12, 8, 4),
+    ("((y-x)^2 - 2x^4)(y-x^3)", -5, 4, 3),
+    ("((y-x)^2 - 2x^4)(y-x^3)(y-2x^3)", -14, 9, 4),
+]
+
+
+@pytest.mark.parametrize("text,M,delta,r", SPLIT_AFTER_DEEPER_ROOT)
+def test_extension_in_a_deeper_chain_lifts_what_follows(text, M, delta, r):
+    for ctx in (field_ctx(3), field_ctx(3, 2)):
+        t = build_tree(parse_poly(text, ctx))
+        m = tree_multiplicity(t).M
+        assert (m, (t.branch_count() - m) // 2, t.branch_count()) == \
+            (M, delta, r), (text, ctx)
+        assert not multiplicity_sum_check(t)
 
 
 def test_input_errors():
