@@ -300,13 +300,7 @@ def _build_parser():
 
 def config_from_argv(argv=None):
     ns = _build_parser().parse_args(argv)
-    return RunConfig(ns.command, p=ns.p, k=ns.k, f_text=ns.f_text,
-                     g_text=getattr(ns, "g_text", None),
-                     unit_text=getattr(ns, "unit_text", None),
-                     trunc=getattr(ns, "trunc", None), fmt=ns.fmt,
-                     seed=ns.seed, primes=getattr(ns, "primes", None),
-                     minimal=getattr(ns, "minimal", False),
-                     terms=getattr(ns, "terms", 64))
+    return RunConfig(**vars(ns))
 
 
 def main(argv=None):

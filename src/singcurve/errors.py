@@ -96,10 +96,6 @@ class NotIrreducibleBranchShape(InputError):
     pass
 
 
-class CommonComponent(InputError):
-    pass
-
-
 class PrecisionExhausted(InputError):
     pass
 

@@ -21,6 +21,10 @@ from .errors import (Char0IrreducibleRemainder, Char0Unsupported,
 PRIME_TEST_LIMIT = 3317044064679887385961981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# rational roots are found among quotients of divisors of the end
+# coefficients, which are listed by trial division up to their square root
+RATIONAL_ROOT_LIMIT = 10 ** 12
+
 
 def is_prime(n):
     """Deterministic Miller-Rabin for n below PRIME_TEST_LIMIT."""
@@ -432,6 +436,18 @@ def uni_eval(ctx, f, x):
     return acc
 
 
+def uni_root_mult(ctx, f, r):
+    """(m, g) with f = (u - r)^m g and g(r) != 0, for nonzero f."""
+    lin = [ctx.neg(r), ctx.one]
+    m = 0
+    while len(f) > 1:
+        q, rem = uni_divmod(ctx, f, lin)
+        if rem:
+            break
+        f, m = q, m + 1
+    return m, f
+
+
 def uni_deriv(ctx, f):
     out = [ctx.mul_int(f[i], i) for i in range(1, len(f))]
     return uni_trim(ctx, out)
@@ -574,6 +590,10 @@ def uni_roots(ctx, f):
 
 def _int_divisors(n):
     n = abs(n)
+    if n > RATIONAL_ROOT_LIMIT:
+        raise InputError(f"rational roots need the divisors of {n}, listed "
+                         f"only up to RATIONAL_ROOT_LIMIT = "
+                         f"{RATIONAL_ROOT_LIMIT}")
     out = []
     d = 1
     while d * d <= n:
@@ -608,10 +628,7 @@ def uni_rational_roots(ctx, f):
             cands.add(Fraction(r, s))
             cands.add(Fraction(-r, s))
     for cand in sorted(cands):
-        m = 0
-        while uni_deg(f) >= 1 and uni_eval(ctx, f, cand) == 0:
-            f = uni_quo(ctx, f, [-cand, Fraction(1)])
-            m += 1
+        m, f = uni_root_mult(ctx, f, cand)
         if m:
             roots.append((cand, m))
     return roots, f

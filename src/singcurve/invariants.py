@@ -329,9 +329,8 @@ def _ser_eval(g, phi, psi, n):
 
     Both series must vanish at t = 0.  A monomial x^i y^j then starts at
     order i ord(phi) + j ord(psi), so those at or above n are skipped.  The
-    powers of phi and psi are built once; each row sum_i c_ij phi^i is a
-    linear combination of them, and the Horner value after row j, which
-    is still to be multiplied by psi^j, is kept mod t^(n - j ord(psi)).
+    powers of phi are built once, and row j, the series sum_i c_ij phi^i,
+    is kept mod t^(n - j ord(psi)) for _horner_s.
     """
     ctx = g.ctx
     if (phi and not ctx.is_zero(phi[0])) or (psi and not ctx.is_zero(psi[0])):
@@ -339,32 +338,22 @@ def _ser_eval(g, phi, psi, n):
     # a zero series counts as order n: every monomial it enters is skipped
     ox = uni_order(ctx, phi) or n
     oy = uni_order(ctx, psi) or n
-    rows = {}
-    for (i, j), v in g.c.items():
-        if i * ox + j * oy < n:
-            rows.setdefault(j, {})[i] = v
-    if not rows:
+    terms = [(i, j, v) for (i, j), v in g.c.items() if i * ox + j * oy < n]
+    if not terms:
         return _ser_zero(ctx, n)
-    xpow = _ser_powers(ctx, phi, max(max(r) for r in rows.values()), n)
-    js = sorted(rows, reverse=True)
-    gaps = [a - b for a, b in zip(js, js[1:] + [0])]
-    ypow = _ser_powers(ctx, psi, max(gaps), n)
+    xpow = _ser_powers(ctx, phi, max(i for i, _, _ in terms), n)
+    rows = [_ser_zero(ctx, n - j * oy)
+            for j in range(max(j for _, j, _ in terms) + 1)]
     add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-    acc = None
-    for j, gap in zip(js, gaps):
-        width = n - j * oy
-        row = _ser_zero(ctx, width)
-        for i, v in rows[j].items():
-            if i == 0:
-                row[0] = add(row[0], v)
-                continue
-            for k, pk in enumerate(xpow[i][:width]):
-                if not is_zero(pk):
-                    row[k] = add(row[k], mul(v, pk))
-        acc = row if acc is None else _ser_addto(ctx, acc, row)
-        if gap:
-            acc = _ser_mul(ctx, acc, ypow[gap], n - (j - gap) * oy)
-    return acc
+    for i, j, v in terms:
+        row = rows[j]
+        if i == 0:
+            row[0] = add(row[0], v)
+            continue
+        for k, pk in enumerate(xpow[i][:len(row)]):
+            if not is_zero(pk):
+                row[k] = add(row[k], mul(v, pk))
+    return _horner_s(ctx, rows, psi, oy, n, 0)[0]
 
 
 def _ser_powers(ctx, a, top, n):
@@ -400,24 +389,24 @@ class Parametrization:
         return f"Parametrization(ord phi={o1}, ord psi={o2}, T={self.trunc})"
 
 
-def _horner_s(ctx, rows, s, n, dn):
+def _horner_s(ctx, rows, s, o, n, dn):
     """(w(t, s) mod t^n, w_y(t, s) mod t^dn) for w = sum_j rows[j](t) s^j,
-    ord s >= 1 and dn < n.
+    ord s >= o >= 1 and dn <= n - o.
 
     One Horner pass in s carries the value V and its s-derivative D:
     (V, D) <- (V s + r_j, D s + V).  Whatever the pass holds after row j
-    is multiplied by s^j later, so that step works mod t^(n - j), and D
-    is only carried once j < dn.
+    is multiplied by s^j later, so that step works mod t^(n - j o), and D
+    is only carried once j o < dn.
     """
-    top = min(len(rows), n) - 1
-    val = rows[top][:n - top]
+    top = min(len(rows), -(-n // o)) - 1
+    val = rows[top][:n - top * o]
     der = []
     for j in range(top - 1, -1, -1):
-        if j < dn:
-            m = dn - j
+        if j * o < dn:
+            m = dn - j * o
             der = _ser_addto(ctx, _ser_mul(ctx, der, s, m) if der
                              else _ser_zero(ctx, m), val)
-        val = _ser_addto(ctx, _ser_mul(ctx, val, s, n - j), rows[j])
+        val = _ser_addto(ctx, _ser_mul(ctx, val, s, n - j * o), rows[j])
     return val, der
 
 
@@ -442,12 +431,12 @@ def _solve_smooth(w, n):
         # precision the round is about to reach; w(t, s) = O(t^h), so
         # the correction needs w_y(t, s) only mod t^(prec - h)
         h, prec = prec, min(2 * prec, n)
-        val, der = _horner_s(ctx, rows, s[:prec], prec, prec - h)
+        val, der = _horner_s(ctx, rows, s[:prec], 1, prec, prec - h)
         corr = _ser_div(ctx, val[h:], der, prec - h)
         for k, ck in enumerate(corr, h):
             if not ctx.is_zero(ck):
                 s[k] = ctx.sub(s[k], ck)
-    if uni_order(ctx, _horner_s(ctx, rows, s, n, 0)[0]) is not None:
+    if uni_order(ctx, _horner_s(ctx, rows, s, 1, n, 0)[0]) is not None:
         raise InternalError("Newton iteration failed to converge")
     return s
 

@@ -9,12 +9,12 @@ terminates.
 """
 
 from .errors import InternalError, TruncationUnstable
-from .field import (field_ctx, uni_deg, uni_divmod, uni_gcd, uni_order,
-                    uni_trim)
+from .field import uni_deg, uni_divmod, uni_gcd, uni_order, uni_trim
 from .invariants import INF, rho, tree_mu_bar
-from .newton import newton_polygon
-from .poly import (BiPoly, clip_total, gcd_bipoly, mul_unit_truncated,
-                   partials, vanishes_at_origin)
+from .newton import face_line, newton_polygon
+from .poly import (BiPoly, clip_total, gcd_bipoly, mul_into,
+                   mul_unit_truncated, partials, reduce_mod,
+                   vanishes_at_origin)
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity, \
     vertex_report
 
@@ -40,23 +40,11 @@ def _sub_mul_clip(g, f, q, n):
     """g - q(x)*f keeping total degree < n; flags dropped terms."""
     ctx = g.ctx
     out = dict(g.c)
-    dropped = False
-    for k, c in enumerate(q):
-        if ctx.is_zero(c):
-            continue
-        c = ctx.neg(c)
-        for (i, j), v in f.c.items():
-            i2 = i + k
-            if i2 + j >= n:
-                dropped = True
-                continue
-            key = (i2, j)
-            w = ctx.add(out.get(key, ctx.zero), ctx.mul(c, v))
-            if ctx.is_zero(w):
-                out.pop(key, None)
-            else:
-                out[key] = w
-    return BiPoly(ctx, out), dropped
+    neg_q = BiPoly(ctx, {(k, 0): ctx.neg(c) for k, c in enumerate(q)})
+    dropped = mul_into(out, neg_q, f, n)
+    r = BiPoly(ctx)
+    r.c = out
+    return r, dropped
 
 
 def _reduce_pair(f, g, n):
@@ -183,26 +171,16 @@ def milnor_number(f, unit=None, trunc=None):
 def _face_system_roots(f, face):
     """True when the partials of the face part share a nonzero root."""
     ctx = f.ctx
-    k = face.K
     i1, j1 = face.top
-    a = [ctx.zero] * (k + 1)
-    b = [ctx.zero] * (k + 1)
-    for s in range(k + 1):
-        c = f.coeff(i1 + s * face.q, j1 - s * face.p)
-        a[s] = ctx.mul_int(c, i1 + s * face.q)
-        b[s] = ctx.mul_int(c, j1 - s * face.p)
+    _, T = face_line(f, face.p, face.q)
+    a = [ctx.mul_int(c, i1 + s * face.q) for s, c in enumerate(T)]
+    b = [ctx.mul_int(c, j1 - s * face.p) for s, c in enumerate(T)]
     a = uni_trim(ctx, a)
     b = uni_trim(ctx, b)
     if not a and not b:
         return True
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        g = uni_gcd(ctx, a, b)
-    lead = uni_order(ctx, g)
-    return uni_deg(g) - lead >= 1
+    g = uni_gcd(ctx, a, b)
+    return uni_deg(g) - uni_order(ctx, g) >= 1
 
 
 def is_nd_face(f, face):
@@ -295,20 +273,6 @@ class ConjReport:
                 f" consistent={self.consistent})")
 
 
-def _reduce_mod(f, p):
-    ctx = field_ctx(p)
-    out = BiPoly(ctx)
-    for k, v in f.c.items():
-        if v.denominator % p == 0:
-            return None, "denominator divisible by p"
-        w = ctx.div(ctx.from_int(v.numerator), ctx.from_int(v.denominator))
-        if not ctx.is_zero(w):
-            out.c[k] = w
-    if out.is_zero():
-        return None, "vanishes mod p"
-    return out, None
-
-
 def check_conjecture(f, primes, verify_shortcut=False):
     """One report per prime: reduce f, compare mu with 1 - M, and test
     the divisibility criterion p | N_v on the minimal tree."""
@@ -316,7 +280,7 @@ def check_conjecture(f, primes, verify_shortcut=False):
 
     reports = []
     for p in primes:
-        fp, why = _reduce_mod(f, p)
+        fp, why = reduce_mod(f, p)
         if fp is None:
             reports.append(ConjReport(p, skipped=why))
             continue

@@ -86,6 +86,31 @@ def newton_polygon(f):
     return NewtonPolygon(i0, j0, hull, faces)
 
 
+def face_line(f, p, q):
+    """(N, T): the least value N of p*i + q*j over the support of f, and
+    the coefficients of f on the line p*i + q*j = N.
+
+    Index s of T counts steps of (q, -p) from the highest support point on
+    the line, so on a face of f's own polygon T is the face polynomial in u.
+    """
+    best, pts = None, []
+    for i, j in f.c:
+        w = p * i + q * j
+        if best is None or w < best:
+            best, pts = w, [(i, j)]
+        elif w == best:
+            pts.append((i, j))
+    pts.sort()
+    i_min = pts[0][0]
+    span = pts[-1][0] - i_min
+    if span % q != 0:
+        raise InternalError("support points off the face lattice")
+    T = [f.ctx.zero] * (span // q + 1)
+    for i, j in pts:
+        T[(i - i_min) // q] = f.c[(i, j)]
+    return best, T
+
+
 class FaceFactorization:
     """Terms of f on one face, as x^a y^b * lead * prod (x^q - mu_i y^p)^nu_i.
 
@@ -111,13 +136,11 @@ def face_factorization(f, face):
     Over finite fields the context is extended as needed; over Q a nonlinear
     irreducible remainder raises Char0IrreducibleRemainder.
     """
-    ctx = f.ctx
-    i1, j1 = face.top
-    j2 = face.bot[1]
-    T = [f.coeff(i1 + s * face.q, j1 - s * face.p) for s in range(face.K + 1)]
-    if ctx.is_zero(T[0]) or ctx.is_zero(T[-1]):
-        raise InternalError("face endpoints must be support points")
-    ctx2, embed, roots = adjoin_splitting(T, ctx)
+    i1, j2 = face.top[0], face.bot[1]
+    N, T = face_line(f, face.p, face.q)
+    if (N, len(T)) != (face.N, face.K + 1):
+        raise InternalError("face is not on the Newton polygon of f")
+    ctx2, embed, roots = adjoin_splitting(T, f.ctx)
     for mu, _ in roots:
         if ctx2.is_zero(mu):
             raise ZeroRoot("face polynomial root at zero")

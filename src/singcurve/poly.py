@@ -8,8 +8,9 @@ parser accepts back, except for non-integer rationals.
 """
 
 import math
+from fractions import Fraction
 
-from .errors import (NotAUnit, ParseError, UnitInput, ZeroPolynomial)
+from .errors import NotAUnit, ParseError, ZeroPolynomial
 from .field import (PrimeFieldCtx, uni_deg, uni_eval, uni_gcd, uni_mul,
                     uni_quo, uni_sub, uni_trim)
 
@@ -70,21 +71,8 @@ class BiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        ctx = self.ctx
-        out = {}
-        add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-        for (i1, j1), v1 in self.c.items():
-            for (i2, j2), v2 in other.c.items():
-                k = (i1 + i2, j1 + j2)
-                w = mul(v1, v2)
-                if k in out:
-                    w = add(out[k], w)
-                    if is_zero(w):
-                        del out[k]
-                        continue
-                out[k] = w
-        r = BiPoly(ctx)
-        r.c = out
+        r = BiPoly(self.ctx)
+        mul_into(r.c, self, other)
         return r
 
     def __pow__(self, n):
@@ -211,26 +199,40 @@ def clip_total(f, n):
     return r, True
 
 
+def mul_into(out, f, g, n=None):
+    """Add f*g into the coefficient dict out, leaving out monomials of total
+    degree n and above and removing sums that cancel to zero.  Returns
+    whether any product term was left out."""
+    ctx = f.ctx
+    add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
+    if n is None:
+        n = math.inf
+    get = out.get
+    cut = False
+    for (i1, j1), v1 in f.c.items():
+        room = n - i1 - j1
+        for (i2, j2), v2 in g.c.items():
+            if i2 + j2 >= room:
+                cut = True
+                continue
+            k = (i1 + i2, j1 + j2)
+            w = mul(v1, v2)
+            acc = get(k)
+            if acc is not None:
+                w = add(acc, w)
+                if is_zero(w):
+                    del out[k]
+                    continue
+            out[k] = w
+    return cut
+
+
 def mul_unit_truncated(f, unit, trunc):
     """f * unit keeping total degree < trunc; unit(0,0) must be nonzero."""
-    ctx = f.ctx
-    if unit.is_zero() or ctx.is_zero(unit.coeff(0, 0)):
+    if unit.is_zero() or f.ctx.is_zero(unit.coeff(0, 0)):
         raise NotAUnit("unit factor must not vanish at the origin")
-    out = BiPoly(ctx)
-    add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-    for (i1, j1), v1 in f.c.items():
-        for (i2, j2), v2 in unit.c.items():
-            i, j = i1 + i2, j1 + j2
-            if i + j >= trunc:
-                continue
-            k = (i, j)
-            w = mul(v1, v2)
-            if k in out.c:
-                w = add(out.c[k], w)
-                if is_zero(w):
-                    del out.c[k]
-                    continue
-            out.c[k] = w
+    out = BiPoly(f.ctx)
+    mul_into(out.c, f, unit, trunc)
     return out
 
 
@@ -495,6 +497,22 @@ def gcd_bipoly(f, g):
     return out.scale(ctx.inv(lead))
 
 
+def reduce_mod(f, p):
+    """Image in F_p of f over Q: (BiPoly, None), or (None, reason) when p
+    divides a denominator or the image vanishes."""
+    ctx = PrimeFieldCtx(p)
+    out = BiPoly(ctx)
+    for k, v in f.c.items():
+        if v.denominator % p == 0:
+            return None, "denominator divisible by p"
+        w = ctx.div(ctx.from_int(v.numerator), ctx.from_int(v.denominator))
+        if not ctx.is_zero(w):
+            out.c[k] = w
+    if out.is_zero():
+        return None, "vanishes mod p"
+    return out, None
+
+
 # Primes above any degree we handle, used to certify squarefreeness over Q.
 _WITNESS_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
 
@@ -507,21 +525,14 @@ def _reduced_mod_witness(f):
     with its degree intact.  Returns False when no listed prime certifies;
     that is not a proof of a repeated factor, only a cue to compute exactly.
     """
-    den = 1
-    for v in f.c.values():
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = {k: int(v * den) for k, v in f.c.items()}
-    cont = math.gcd(*ints.values())
-    ints = {k: v // cont for k, v in ints.items()}
+    den = math.lcm(*(v.denominator for v in f.c.values()))
+    cont = math.gcd(*(int(v * den) for v in f.c.values()))
+    ints = f.scale(Fraction(den, cont))
     dx, dy = f.deg_x(), f.deg_y()
     for p in _WITNESS_PRIMES:
-        cp = {k: v % p for k, v in ints.items() if v % p}
-        if not cp:
+        fp, _ = reduce_mod(ints, p)
+        if fp is None or fp.deg_x() != dx or fp.deg_y() != dy:
             continue
-        if max(i for i, _ in cp) != dx or max(j for _, j in cp) != dy:
-            continue
-        fp = BiPoly(PrimeFieldCtx(p))
-        fp.c = cp
         if reduced_check(fp)[0]:
             return True
     return False

@@ -19,9 +19,9 @@ import math
 from .errors import (DisconnectedNodes, IndivisibleArrowhead, InternalError,
                      NotReduced, RecursionCapExceeded, UnitInput,
                      ZeroPolynomial)
-from .field import uni_order
+from .field import uni_order, uni_root_mult
 from .hn import hn_map, transform_with_map
-from .newton import face_factorization, newton_polygon
+from .newton import face_factorization, face_line, newton_polygon
 from .poly import reduced_check
 
 RECURSION_CAP = 64
@@ -281,45 +281,6 @@ class _Builder:
             raise InternalError("no embedding for coefficient field")
         return f.map_coeffs(self.embed[f.ctx], self.ctx)
 
-    def _strand_T(self, h, face):
-        """Coefficients of h along its own minimal line of direction (p, q).
-
-        Index s counts steps of (q, -p) from the highest support point, the
-        same orientation face_factorization uses, so root multiplicities of
-        the product face polynomial split as the sum over strands.
-        """
-        p, q = face.p, face.q
-        best = min(p * i + q * j for i, j in h.c)
-        pts = [(i, j) for i, j in h.c if p * i + q * j == best]
-        i_min = min(i for i, _ in pts)
-        span = max(i for i, _ in pts) - i_min
-        if span % q != 0:
-            raise InternalError("support points off the face lattice")
-        T = [h.ctx.zero] * (span // q + 1)
-        for i, j in pts:
-            T[(i - i_min) // q] = h.c[(i, j)]
-        return best, T
-
-    def _root_mult(self, T, mu):
-        """Multiplicity of mu as a root of T (list of coefficients, low first)."""
-        ctx = self.ctx
-        cur = list(T)
-        count = 0
-        while len(cur) > 1:
-            quo = [ctx.zero] * (len(cur) - 1)
-            acc = ctx.zero
-            for k in range(len(cur) - 1, 0, -1):
-                acc = ctx.add(ctx.mul(acc, mu), cur[k])
-                quo[k - 1] = acc
-            rem = ctx.add(ctx.mul(acc, mu), cur[0])
-            if not ctx.is_zero(rem):
-                break
-            count += 1
-            while len(quo) > 1 and ctx.is_zero(quo[-1]):
-                quo.pop()
-            cur = quo
-        return count
-
     def chain(self, strands, glue, depth):
         """Build the chain of the product of strands.
 
@@ -409,12 +370,12 @@ class _Builder:
                 # field: bring the strands and the root into it
                 ctx = self.ctx
                 strands = [(m, self.lift_poly(h)) for m, h in strands]
-                lines = [self._strand_T(h, face) for _, h in strands]
+                lines = [face_line(h, face.p, face.q) for _, h in strands]
                 if sum(best for best, _ in lines) != face.N:
                     raise InternalError("strand face values do not sum to N")
             if ff.ctx != ctx:
                 mu = self.embed[ff.ctx](mu)
-            per = [self._root_mult(T, mu) for _, T in lines]
+            per = [uni_root_mult(ctx, T, mu)[0] for _, T in lines]
             if sum(per) != nu:
                 raise InternalError("strand root multiplicities do not sum")
             sub = path + ((face.p, face.q, mu, face.N, nu),)

@@ -12,7 +12,7 @@ from sympy import GF, Poly, symbols
 from singcurve.errors import (BadOrder, InternalError, NotCoprime,
                              OrderMismatch, ParityViolation)
 from singcurve.hn import hn_map, transform_with_map
-from singcurve.poly import BiPoly
+from singcurve.poly import BiPoly, clip_total
 
 X, Y, U, T = symbols("x y u t")
 
@@ -401,6 +401,19 @@ def x_image(m):
 def y_image(m):
     """X^q (Y + mu_bar)^B for the chart map m."""
     return _chart_image(m, m.q, m.B)
+
+
+def full_product(f, g, n=None):
+    """clip_total of the whole product f*g at total degree n, which is
+    formed term by term first; with n None, (f*g, False)."""
+    ctx = f.ctx
+    full = {}
+    for (i1, j1), v1 in f.c.items():
+        for (i2, j2), v2 in g.c.items():
+            k = (i1 + i2, j1 + j2)
+            full[k] = ctx.add(full.get(k, ctx.zero), ctx.mul(v1, v2))
+    prod = BiPoly(ctx, full)
+    return (prod, False) if n is None else clip_total(prod, n)
 
 
 def substitute(f, xv, yv):

@@ -123,6 +123,15 @@ def test_huge_prime_field_answers_fast():
     assert time.perf_counter() - start < 2
 
 
+def test_huge_rational_coefficient_fails_fast():
+    start = time.perf_counter()
+    code, out = run(RunConfig(
+        "tree", f_text="x^2 - 1000000000000000000000000000000 y^2"))
+    assert code == 2 and "RATIONAL_ROOT_LIMIT" in out
+    assert _ok("delta", f_text="x^2 - 1000000000000 y^2") == "1"
+    assert time.perf_counter() - start < 2
+
+
 def test_area_check_command():
     out = _ok("area-check", f_text=EX1)
     assert out.splitlines() == ["-M = 155", "area sum = 155", "equal: yes"]

@@ -1,0 +1,49 @@
+"""Source hygiene: no unused imports in the package, and the benchmark's
+per-layer tracer still finds every function it patches."""
+
+import ast
+import importlib.util
+import pathlib
+
+from singcurve import milnor, poly
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "singcurve"
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}"
+            for name, line in sorted(bound.items()) if name not in used]
+
+
+def test_every_module_import_is_used():
+    # the package __init__ imports only to re-export
+    paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert paths
+    assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def _bench_layers():
+    spec = importlib.util.spec_from_file_location(
+        "bench_layers", ROOT / "perfbench" / "layers.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_bench_tracer_patches_every_target():
+    # a renamed or inlined traced function would zero its per-layer metric
+    layers = _bench_layers()
+    mul, clip = poly.BiPoly.__dict__["__mul__"], milnor._sub_mul_clip
+    for probe in (layers.Tracer, layers.CoeffCounter):
+        with probe() as tr:
+            assert tr.unpatched() == [], probe.__name__
+    assert poly.BiPoly.__dict__["__mul__"] is mul
+    assert milnor._sub_mul_clip is clip
