@@ -68,15 +68,15 @@ class HNMap:
         return min(self.p * i + self.q * j for i, j in f.c)
 
     def apply(self, f, n=None):
-        """f(map), expanded term by term.
+        """The cofactor f(map) / X^N, N the image order, expanded term by
+        term; with n given, its monomials of total degree n and above are
+        left out.
 
         Each term needs only one shift power, so this is far cheaper than a
-        generic substitution.  With n given the result is instead the
-        cofactor f(map) / X^N, N the image order, with its
-        monomials of total degree n and above left out.
+        generic substitution.
         """
         ctx = f.ctx
-        shift = 0 if n is None or not f.c else self.image_order(f)
+        shift = self.image_order(f) if f.c else 0
         rows = {0: [ctx.one]}
         top = 0
         out = {}
@@ -126,12 +126,3 @@ def hn_map(p, q, mu, ctx):
     A, B, _ = chart_exponents(p, q)
     return HNMap(p, q, A, B, mu, ctx)
 
-
-def transform_with_map(f, m, n=None):
-    """(N, w) with f(map) = X^N * w and w not divisible by X; with n given,
-    w keeps only its monomials of total degree below n."""
-    if n is not None:
-        return m.image_order(f), m.apply(f, n)
-    full = m.apply(f)
-    n = full.x_mult()
-    return n, full.div_monomial(n, 0)

@@ -13,7 +13,7 @@ from .errors import (DisconnectedNodes, InputError, InternalError,
                      NotIrreducible, NotIrreducibleBranchShape,
                      OrderMismatch, ParityViolation, PrecisionExhausted)
 from .field import uni_order
-from .hn import hn_map, transform_with_map
+from .hn import hn_map
 from .poly import clip_total, gcd_bipoly, vanishes_at_origin
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity
 
@@ -473,7 +473,7 @@ def _parametrize_arrow(f, t, aid, n):
     for m, (_, _, _, N, nu) in zip(maps, path):
         if not h.c:
             raise PrecisionExhausted("precision too low for the chart chain")
-        got, w = transform_with_map(h, m, n)
+        got, w = m.image_order(h), m.apply(h, n)
         # the truncated chain follows the tree unless something was cut:
         # terms of f, or cofactor terms of total degree n and above
         cut = cut or any((m.p + m.A) * i + (m.q + m.B) * j - got >= n

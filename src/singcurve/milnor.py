@@ -4,8 +4,10 @@ non-degeneracy tests, polar curves, and the equality checker mu = 1 - M.
 The local intersection routine is a characteristic-free reduction: strip
 monomial factors (each x costs the y-order of the partner and vice versa),
 then cancel leading terms of the restrictions to y = 0 until a variable
-splits off.  Infinity is fenced up front by one gcd, so the loop always
-terminates.
+splits off.  Each round is cut at total degree n and gives up once its
+count reaches n, and n doubles until a round certifies; only past the
+Bezout bound does one exact gcd tell infinity (a shared branch) from a
+fault.
 """
 
 from .errors import InternalError, TruncationUnstable
@@ -13,7 +15,7 @@ from .field import uni_deg, uni_divmod, uni_gcd, uni_order, uni_trim
 from .invariants import INF, rho, tree_mu_bar
 from .newton import face_line, newton_polygon
 from .poly import (BiPoly, clip_total, gcd_bipoly, mul_into,
-                   mul_unit_truncated, partials, reduce_mod,
+                   mul_unit_truncated, partials, reduce_mod, reduced_check,
                    vanishes_at_origin)
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity, \
     vertex_report
@@ -276,8 +278,6 @@ class ConjReport:
 def check_conjecture(f, primes, verify_shortcut=False):
     """One report per prime: reduce f, compare mu with 1 - M, and test
     the divisibility criterion p | N_v on the minimal tree."""
-    from .poly import reduced_check
-
     reports = []
     for p in primes:
         fp, why = reduce_mod(f, p)

@@ -111,40 +111,22 @@ def face_line(f, p, q):
     return best, T
 
 
-class FaceFactorization:
-    """Terms of f on one face, as x^a y^b * lead * prod (x^q - mu_i y^p)^nu_i.
-
-    roots live in ctx (possibly an extension of f's context); embed maps old
-    coefficients into it.
-    """
-
-    __slots__ = ("face", "a", "b", "lead", "roots", "ctx", "embed")
-
-    def __init__(self, face, a, b, lead, roots, ctx, embed):
-        self.face = face
-        self.a = a
-        self.b = b
-        self.lead = lead
-        self.roots = roots
-        self.ctx = ctx
-        self.embed = embed
-
-
-def face_factorization(f, face):
-    """Factor the face polynomial of f on the given face.
+def face_factorization(T, face, ctx):
+    """Split the face polynomial T (as read by face_line, over ctx) of the
+    given face: (ctx2, embed, roots), with the roots and their
+    multiplicities in ctx2 and embed mapping ctx into it.
 
     Over finite fields the context is extended as needed; over Q a nonlinear
     irreducible remainder raises Char0IrreducibleRemainder.
     """
     i1, j2 = face.top[0], face.bot[1]
-    N, T = face_line(f, face.p, face.q)
-    if (N, len(T)) != (face.N, face.K + 1):
-        raise InternalError("face is not on the Newton polygon of f")
-    ctx2, embed, roots = adjoin_splitting(T, f.ctx)
+    if len(T) != face.K + 1:
+        raise InternalError("face polynomial does not span the face")
+    ctx2, embed, roots = adjoin_splitting(T, ctx)
     for mu, _ in roots:
         if ctx2.is_zero(mu):
             raise ZeroRoot("face polynomial root at zero")
     nsum = sum(nu for _, nu in roots)
     if face.N != face.p * i1 + face.q * j2 + face.p * face.q * nsum:
         raise InternalError("face value identity violated")
-    return FaceFactorization(face, i1, j2, embed(T[-1]), roots, ctx2, embed)
+    return ctx2, embed, roots

@@ -19,8 +19,8 @@ import math
 from .errors import (DisconnectedNodes, IndivisibleArrowhead, InternalError,
                      NotReduced, RecursionCapExceeded, UnitInput,
                      ZeroPolynomial)
-from .field import uni_order, uni_root_mult
-from .hn import hn_map, transform_with_map
+from .field import uni_mul, uni_order, uni_root_mult
+from .hn import hn_map
 from .newton import face_factorization, face_line, newton_polygon
 from .poly import reduced_check
 
@@ -260,19 +260,17 @@ class _Builder:
     every value is lifted by the same root choices.
     """
 
-    def __init__(self, ctx, cap=RECURSION_CAP):
+    def __init__(self, ctx):
         self.tree = NewtonTree()
         self.ctx = ctx
         self.embed = {}
-        self.cap = cap
 
-    def extend(self, ff):
-        if ff.ctx == self.ctx:
+    def extend(self, ctx2, e):
+        if ctx2 == self.ctx:
             return
-        e = ff.embed
         self.embed = {c: (lambda a, g=g: e(g(a))) for c, g in self.embed.items()}
         self.embed[self.ctx] = e
-        self.ctx = ff.ctx
+        self.ctx = ctx2
 
     def lift_poly(self, f):
         if f.ctx == self.ctx:
@@ -284,12 +282,12 @@ class _Builder:
     def chain(self, strands, glue, depth):
         """Build the chain of the product of strands.
 
-        strands: list of (owner, BiPoly); glue: None at the root, else
-        (parent vertex id, p_par * q_par, N_par, chart path to here).
+        strands: list of (owner, BiPoly) over the current field; glue: None
+        at the root, else (parent vertex id, p_par * q_par, N_par, chart
+        path to here).
         """
-        if depth > self.cap:
-            raise RecursionCapExceeded(f"chain depth exceeded {self.cap}")
-        strands = [(m, self.lift_poly(h)) for m, h in strands]
+        if depth > RECURSION_CAP:
+            raise RecursionCapExceeded(f"chain depth exceeded {RECURSION_CAP}")
         g = strands[0][1]
         for _, h in strands[1:]:
             g = g * h
@@ -305,77 +303,71 @@ class _Builder:
         if not P.faces:
             if glue is not None:
                 raise InternalError("glued polygon with no compact face")
-            top = self._axis_arrow(strands, "x") if P.i0 == 1 else \
-                t.new_arrow("zero", N=1)
-            bot = self._axis_arrow(strands, "y") if P.j0 == 1 else \
-                t.new_arrow("zero", N=1)
-            t.add_edge(top, bot, 1, 1)
+            top = self._end(strands, "x", P.i0 == 1, 1, 1)
+            t.add_edge(top, self._end(strands, "y", P.j0 == 1, 1, 1), 1, 1)
             return
 
         pq_glue = glue[1] if glue else 0
         n_glue = glue[2] if glue else 0
         path = glue[3] if glue else ()
-        prev_vid = None
-        prev_p = None
         for idx, face in enumerate(P.faces):
             q_bar = face.q + face.p * pq_glue
             n_bar = face.N + face.p * n_glue
             vid = t.new_vertex(n_bar, face.p, q_bar)
             if idx == 0:
-                if glue is not None:
-                    t.add_edge(glue[0], vid, 1, q_bar)
-                elif P.i0 == 1:
-                    t.add_edge(self._axis_arrow(strands, "x"), vid, 1, q_bar)
-                else:
-                    if n_bar % q_bar != 0:
-                        raise IndivisibleArrowhead(f"{q_bar} does not divide {n_bar}")
-                    aid = t.new_arrow("zero", N=n_bar // q_bar)
-                    t.add_edge(aid, vid, 1, q_bar)
+                top = glue[0] if glue is not None else \
+                    self._end(strands, "x", P.i0 == 1, n_bar, q_bar)
+                t.add_edge(top, vid, 1, q_bar)
             else:
                 t.add_edge(prev_vid, vid, prev_p, q_bar)
-
-            # a root of an earlier face may have extended the field
-            g = self.lift_poly(g)
-            ff = face_factorization(g, face)
-            self.extend(ff)
-            self._face_roots(strands, face, ff, vid, q_bar, n_bar, path,
-                             depth)
+            self._face_roots(strands, face, vid, q_bar, n_bar, path, depth)
             prev_vid, prev_p = vid, face.p
+        t.add_edge(prev_vid, self._end(strands, "y", P.j0 == 1, n_bar, prev_p),
+                   prev_p, 1)
 
-        if P.j0 == 1:
-            aid = self._axis_arrow(strands, "y")
-        else:
-            if n_bar % prev_p != 0:
-                raise IndivisibleArrowhead(f"{prev_p} does not divide {n_bar}")
-            aid = t.new_arrow("zero", N=n_bar // prev_p)
-        t.add_edge(prev_vid, aid, prev_p, 1)
-
-    def _axis_arrow(self, strands, axis):
-        owners = []
-        for m, h in strands:
-            mult = h.x_mult() if axis == "x" else h.y_mult()
-            if mult:
-                owners.append(m)
+    def _end(self, strands, axis, on_axis, n, d):
+        """The arrow ending a chain on the given axis side: the axis branch
+        when it divides the product of strands, else a (0)-arrow of
+        value n / d."""
+        if not on_axis:
+            if n % d != 0:
+                raise IndivisibleArrowhead(f"{d} does not divide {n}")
+            return self.tree.new_arrow("zero", N=n // d)
+        owners = [m for m, h in strands
+                  if (h.x_mult() if axis == "x" else h.y_mult())]
         if len(owners) != 1:
             raise InternalError(f"{axis}-axis factor has {len(owners)} owners")
         return self.tree.new_arrow("branch", owner=owners[0],
                                    label=f"{axis} = 0")
 
-    def _face_roots(self, strands, face, ff, vid, q_bar, n_bar, path, depth):
+    def _face_roots(self, strands, face, vid, q_bar, n_bar, path, depth):
+        """Split the face polynomial, the product of the strands' face
+        lines, and hang a branch arrow or a glued chain from vid for each
+        of its roots."""
         t = self.tree
-        ctx = None
-        for mu, nu in ff.roots:
+        ctx = self.ctx
+        strands = [(m, self.lift_poly(h)) for m, h in strands]
+        values, lines = zip(*(face_line(h, face.p, face.q)
+                              for _, h in strands))
+        if sum(values) != face.N:
+            raise InternalError("strand face values do not sum to N")
+        T = lines[0]
+        for U in lines[1:]:
+            T = uni_mul(ctx, T, U)
+        ctx2, embed, roots = face_factorization(T, face, ctx)
+        self.extend(ctx2, embed)
+        for mu, nu in roots:
             if ctx != self.ctx:
-                # first root, or the chain of the last one extended the
-                # field: bring the strands and the root into it
-                ctx = self.ctx
+                # this face or the chain of the last root extended the
+                # field: bring the strands, their face lines and the root
+                # into it
                 strands = [(m, self.lift_poly(h)) for m, h in strands]
-                lines = [face_line(h, face.p, face.q) for _, h in strands]
-                if sum(best for best, _ in lines) != face.N:
-                    raise InternalError("strand face values do not sum to N")
-            if ff.ctx != ctx:
-                mu = self.embed[ff.ctx](mu)
-            per = [uni_root_mult(ctx, T, mu)[0] for _, T in lines]
+                lift = self.embed[ctx]
+                lines = [[lift(c) for c in T] for T in lines]
+                ctx = self.ctx
+            if ctx2 != ctx:
+                mu = self.embed[ctx2](mu)
+            per = [uni_root_mult(ctx, T, mu)[0] for T in lines]
             if sum(per) != nu:
                 raise InternalError("strand root multiplicities do not sum")
             sub = path + ((face.p, face.q, mu, face.N, nu),)
@@ -388,19 +380,16 @@ class _Builder:
                 continue
             hmap = hn_map(face.p, face.q, mu, ctx)
             subs = []
-            stripped = 0
             for (m, h), nu_m in zip(strands, per):
-                n_m, w_m = transform_with_map(h, hmap)
-                stripped += n_m
-                got = uni_order(ctx, w_m.subs_x0())
+                if not nu_m:
+                    # a unit in this chart: it adds nothing below
+                    continue
+                w = hmap.apply(h)
+                got = uni_order(ctx, w.subs_x0())
                 if got != nu_m:
                     raise InternalError(
                         f"cofactor order {got} for strand of multiplicity {nu_m}")
-                if len(w_m.c) == 1 and (0, 0) in w_m.c:
-                    continue
-                subs.append((m, w_m))
-            if stripped != face.N:
-                raise InternalError("stripped powers do not sum to N")
+                subs.append((m, w))
             self.chain(subs, (vid, face.p * q_bar, n_bar, sub), depth + 1)
 
 

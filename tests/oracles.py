@@ -5,16 +5,27 @@ series substitution) and shares no code with the library's own algorithms.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 
 import sympy
 from sympy import GF, Poly, symbols
 
 from singcurve.errors import (BadOrder, InternalError, NotCoprime,
                              OrderMismatch, ParityViolation)
-from singcurve.hn import hn_map, transform_with_map
+from singcurve.hn import hn_map
 from singcurve.poly import BiPoly, clip_total
 
 X, Y, U, T = symbols("x y u t")
+
+
+def small_elem(ctx, a, b):
+    """a + b g over F_{p^k}, a / (1 + |b|) over Q, a mod p over F_p: a
+    field element from two small integers, for generated test inputs."""
+    if ctx.ext_degree > 1:
+        return ctx.add(ctx.from_int(a), ctx.mul_int(ctx.gen, b))
+    if ctx.characteristic == 0:
+        return Fraction(a, 1 + abs(b))
+    return ctx.from_int(a)
 
 
 def brute_roots(ctx, coeffs):
@@ -291,7 +302,7 @@ def reference_parametrization(f, n):
     maps = _maps_to_arrow(t, arrow.nid)
     h = _ref_trunc(f, n)
     for m in maps:
-        _, h = transform_with_map(h, m)
+        h = m.apply(h)
         h = _ref_trunc(h, n)
     psi = newton_solve(h, n)
     phi = [ctx.zero] * n
@@ -403,6 +414,12 @@ def y_image(m):
     return _chart_image(m, m.q, m.B)
 
 
+def full_image(f, m):
+    """f(map) in full, its power of X included, by naive substitution of
+    the chart images."""
+    return substitute(f, x_image(m), y_image(m))
+
+
 def full_product(f, g, n=None):
     """clip_total of the whole product f*g at total degree n, which is
     formed term by term first; with n None, (f*g, False)."""
@@ -432,7 +449,7 @@ def hn_transform(f, face, root):
     """
     mu, nu = root
     m = hn_map(face.p, face.q, mu, f.ctx)
-    n, w = transform_with_map(f, m)
+    n, w = m.image_order(f), m.apply(f)
     if n != face.N:
         raise InternalError(f"transform dropped X^{n}, face says {face.N}")
     w0 = w.subs_x0()

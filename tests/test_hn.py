@@ -4,18 +4,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singcurve.errors import BadOrder, NotCoprime, OrderMismatch, ZeroRoot
 from singcurve.field import field_ctx
-from singcurve.hn import chart_exponents, hn_map, transform_with_map
+from singcurve.hn import chart_exponents, hn_map
 from singcurve.newton import newton_polygon
-from singcurve.poly import BiPoly, parse_poly
+from singcurve.poly import BiPoly, clip_total, parse_poly
 
 from curves import EX1
-from oracles import (euclid_exponents, euclid_sequences, hn_transform,
-                     x_image, y_image)
+from oracles import (euclid_exponents, euclid_sequences, full_image,
+                     hn_transform, small_elem, x_image, y_image)
 
 QQ = field_ctx(0)
 
@@ -130,7 +130,7 @@ def test_face_factor_transforms_to_order_one():
     for (p, q, mu) in [(3, 2, 2), (2, 3, 7), (5, 3, -4), (4, 7, 1), (1, 1, 9)]:
         f = parse_poly(f"x^{q} - ({mu}) y^{p}", QQ)
         m = hn_map(p, q, QQ.from_int(mu), QQ)
-        n, w = transform_with_map(f, m)
+        n, w = m.image_order(f), m.apply(f)
         assert n == p * q
         w0 = w.subs_x0()
         assert w0[0] == 0 and w0[1] != 0
@@ -141,7 +141,7 @@ def test_face_factor_order_one_char2():
     mu = f2.gen
     f = parse_poly("x^3", f2) - parse_poly("y^5", f2).scale(mu)
     m = hn_map(5, 3, mu, f2)
-    n, w = transform_with_map(f, m)
+    n, w = m.image_order(f), m.apply(f)
     assert n == 15
     w0 = w.subs_x0()
     assert f2.is_zero(w0[0]) and not f2.is_zero(w0[1])
@@ -173,7 +173,7 @@ def test_hn_transform_ex1_stage2_and_3():
     g = parse_poly(EX1, fp)
     _, gw1, gm1 = hn_transform(g, newton_polygon(g).faces[0], (fp.one, 4))
     _, _, gm2 = hn_transform(gw1, newton_polygon(gw1).faces[0], (fp.one, 2))
-    composite = gm2.apply(gm1.apply(g))
+    composite = full_image(full_image(g, gm1), gm2)
     assert composite.x_mult() == 2 * 24 + 52 == 100
 
     np3 = newton_polygon(w2)
@@ -211,7 +211,7 @@ def test_map_unimodular(a, b, c):
     assert m.sign == q * m.A - p * m.B
     # mu_bar is chosen so the face factor vanishes at (0, 0) in the chart
     f = parse_poly(f"x^{q}", f13) - parse_poly(f"y^{p}", f13).scale(mu)
-    n, w = transform_with_map(f, m)
+    n, w = m.image_order(f), m.apply(f)
     assert n == p * q
     assert f13.is_zero(w.evaluate(f13.zero, f13.zero))
 
@@ -224,7 +224,32 @@ def test_truncated_map_cuts_the_cofactor(terms, pq, c, n):
     f13 = field_ctx(13)
     f = BiPoly(f13, {k: f13.from_int(v) for k, v in terms.items()})
     m = hn_map(*pq, f13.from_int(c), f13)
-    full_n, w = transform_with_map(f, m)
-    cut_n, cut = transform_with_map(f, m, n)
+    full_n, w = full_image(f, m).x_mult(), m.apply(f)
+    cut_n, cut = m.image_order(f), m.apply(f, n)
     assert cut_n == full_n
     assert cut.c == {k: v for k, v in w.c.items() if k[0] + k[1] < n}
+
+
+CHART_CTXS = (field_ctx(13), field_ctx(7, 2), QQ)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(CHART_CTXS),
+       st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                       st.tuples(st.integers(-6, 6), st.integers(-3, 3)),
+                       min_size=1, max_size=6),
+       st.sampled_from([(1, 1), (2, 1), (1, 3), (3, 2), (2, 5), (7, 4)]),
+       st.tuples(st.integers(1, 6), st.integers(-3, 3)),
+       st.integers(0, 40))
+def test_apply_is_the_substituted_image_over_x_to_the_n(ctx, terms, pq, root,
+                                                        n):
+    f = BiPoly(ctx, {k: small_elem(ctx, a, b)
+                     for k, (a, b) in terms.items()})
+    assume(not f.is_zero())
+    m = hn_map(*pq, small_elem(ctx, *root), ctx)
+    N = m.image_order(f)
+    w = m.apply(f)
+    assert w.x_mult() == 0
+    shifted = BiPoly(ctx, {(i + N, j): v for (i, j), v in w.c.items()})
+    assert shifted == full_image(f, m)
+    assert m.apply(f, n) == clip_total(w, n)[0]

@@ -7,12 +7,18 @@ import pytest
 
 from singcurve.errors import Char0IrreducibleRemainder, ZeroPolynomial
 from singcurve.field import field_ctx
-from singcurve.newton import face_factorization, newton_polygon
+from singcurve.newton import face_factorization, face_line, newton_polygon
 from singcurve.poly import BiPoly, parse_poly
 
 from curves import EX1, EX2
 
 QQ = field_ctx(0)
+
+
+def _split_face(f, face):
+    """face_factorization of the face line that f itself puts on face."""
+    _, T = face_line(f, face.p, face.q)
+    return face_factorization(T, face, f.ctx)
 
 
 def test_cusp_polygon():
@@ -31,11 +37,12 @@ def test_ex1_polygon_and_face():
     assert np_.i0 == 0 and np_.j0 == 0
     face = np_.faces[0]
     assert (face.p, face.q, face.N, face.K) == (3, 2, 24, 4)
-    ff = face_factorization(f, face)
-    assert ff.ctx is QQ
-    assert ff.roots == [(Fraction(1), 4)]
-    assert (ff.a, ff.b) == (0, 0)
-    assert ff.lead == 1
+    _, T = face_line(f, face.p, face.q)
+    ctx2, embed, roots = face_factorization(T, face, QQ)
+    assert ctx2 is QQ
+    assert roots == [(Fraction(1), 4)]
+    assert (face.top[0], face.bot[1]) == (0, 0)
+    assert embed(T[-1]) == 1
 
 
 def test_ex2_polygon():
@@ -50,15 +57,13 @@ def test_ex2_faces_char_not_2():
     f11 = field_ctx(11)
     f = parse_poly(EX2, f11)
     np_ = newton_polygon(f)
-    s1 = face_factorization(f, np_.faces[0])
-    assert sorted(s1.roots) == [(1, 1), (10, 1)]
-    assert (s1.a, s1.b) == (0, 10)
-    s2 = face_factorization(f, np_.faces[1])
-    assert s2.roots == [(1, 2)]
-    assert (s2.a, s2.b) == (2, 4)
-    s3 = face_factorization(f, np_.faces[2])
-    assert s3.roots == [(1, 1)]
-    assert (s3.a, s3.b) == (6, 0)
+    f1, f2, f3 = np_.faces
+    assert sorted(_split_face(f, f1)[2]) == [(1, 1), (10, 1)]
+    assert (f1.top[0], f1.bot[1]) == (0, 10)
+    assert _split_face(f, f2)[2] == [(1, 2)]
+    assert (f2.top[0], f2.bot[1]) == (2, 4)
+    assert _split_face(f, f3)[2] == [(1, 1)]
+    assert (f3.top[0], f3.bot[1]) == (6, 0)
 
 
 def test_ex2_face_char_2():
@@ -66,8 +71,7 @@ def test_ex2_face_char_2():
     f = parse_poly(EX2, f2)
     np_ = newton_polygon(f)
     assert np_.vertices == [(0, 14), (2, 10), (6, 4), (11, 0)]
-    s1 = face_factorization(f, np_.faces[0])
-    assert s1.roots == [(1, 2)]
+    assert _split_face(f, np_.faces[0])[2] == [(1, 2)]
 
 
 def test_monomial_times_unit_has_no_faces():
@@ -103,19 +107,19 @@ def test_face_needs_extension():
     f11 = field_ctx(11)
     f = parse_poly("x^2 - 2 y^2", f11)  # 2 is not a square mod 11
     np_ = newton_polygon(f)
-    ff = face_factorization(f, np_.faces[0])
-    assert ff.ctx.order == 121
-    assert len(ff.roots) == 2
-    for mu, nu in ff.roots:
+    ctx2, _, roots = _split_face(f, np_.faces[0])
+    assert ctx2.order == 121
+    assert len(roots) == 2
+    for mu, nu in roots:
         assert nu == 1
-        assert ff.ctx.mul(mu, mu) == ff.ctx.from_int(2)
+        assert ctx2.mul(mu, mu) == ctx2.from_int(2)
 
 
 def test_face_char0_irrational_raises():
     f = parse_poly("x^2 - 2 y^2", QQ)
     np_ = newton_polygon(f)
     with pytest.raises(Char0IrreducibleRemainder):
-        face_factorization(f, np_.faces[0])
+        _split_face(f, np_.faces[0])
 
 
 def _face_poly_terms(f, face):
@@ -156,15 +160,16 @@ def test_polygon_invariants_and_face_reconstruction(ctx):
         assert slopes == sorted(slopes, reverse=True)
         assert len(set(slopes)) == len(slopes)
         for face in np_.faces:
+            _, T = face_line(f, face.p, face.q)
             try:
-                ff = face_factorization(f, face)
+                c2, embed, roots = face_factorization(T, face, ctx)
             except Char0IrreducibleRemainder:
                 continue
-            c2 = ff.ctx
-            rebuilt = BiPoly.monomial(c2, ff.a, ff.b, ff.lead)
-            for mu, nu in ff.roots:
+            a, b, lead = face.top[0], face.bot[1], embed(T[-1])
+            rebuilt = BiPoly.monomial(c2, a, b, lead)
+            for mu, nu in roots:
                 lin = BiPoly(c2, {(face.q, 0): c2.one, (0, face.p): c2.neg(mu)})
                 rebuilt = rebuilt * lin ** nu
-            want = BiPoly(c2, {k: ff.embed(v)
+            want = BiPoly(c2, {k: embed(v)
                                for k, v in _face_poly_terms(f, face).items()})
             assert rebuilt == want

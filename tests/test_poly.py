@@ -12,7 +12,7 @@ from singcurve.field import field_ctx
 from singcurve.poly import (BiPoly, gcd_bipoly, mul_into, mul_unit_truncated,
                             parse_poly, partials, poly_str, reduced_check)
 
-from oracles import full_product, substitute
+from oracles import full_product, small_elem, substitute
 
 QQ = field_ctx(0)
 F5 = field_ctx(5)
@@ -141,20 +141,12 @@ _terms = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                          max_size=6)
 
 
-def _coeff(ctx, a, b):
-    """a + b g over F_49, a / (1 + |b|) over Q, a mod p over F_p."""
-    if ctx.ext_degree > 1:
-        return ctx.add(ctx.from_int(a), ctx.mul_int(ctx.gen, b))
-    if ctx.characteristic == 0:
-        return Fraction(a, 1 + abs(b))
-    return ctx.from_int(a)
-
-
 @settings(max_examples=300)
 @given(st.sampled_from(MUL_CTXS), _terms, _terms, _terms,
        st.sampled_from((None, 0, 1, 2, 3, 5, 8)), st.booleans())
 def test_mul_into_matches_the_full_product(ctx, ft, gt, ht, n, cancel):
-    f, g, h = (BiPoly(ctx, {k: _coeff(ctx, a, b) for k, (a, b) in t.items()})
+    f, g, h = (BiPoly(ctx, {k: small_elem(ctx, a, b)
+                            for k, (a, b) in t.items()})
                for t in (ft, gt, ht))
     want, want_cut = full_product(f, g, n)
     # start from h - want to make every product sum cancel to zero

@@ -6,7 +6,10 @@ import pytest
 
 from singcurve.errors import NotReduced, UnitInput, ZeroPolynomial
 from singcurve.field import field_ctx
-from singcurve.poly import BiPoly, parse_poly
+from singcurve.hn import HNMap, hn_map
+from singcurve.invariants import intersect_tree
+from singcurve.milnor import local_intersection
+from singcurve.poly import BiPoly, parse_poly, vanishes_at_origin
 from singcurve.tree import (build_tree, build_tree_multi, minimalize,
                             tree_multiplicity, tree_to_ascii, tree_to_dot,
                             vertex_report)
@@ -288,3 +291,47 @@ def test_random_trees_satisfy_the_multiplicity_sum():
             for n in tm.arrows("zero"):
                 _, other, _, dother = tm.neighbors(n.nid)[0]
                 assert not (tm.nodes[other].kind == "vertex" and dother == 1)
+
+
+# pairs where one factor is a unit in the chart of the other's multiple
+# face root, so it leaves that chain
+UNIT_IN_CHART_PAIRS = [("(y - x)^2 - x^3", "y + x"), (EX1, "y - 3x")]
+
+
+@pytest.mark.parametrize("ctx", [QQ, field_ctx(7), field_ctx(3, 2)],
+                         ids=repr)
+@pytest.mark.parametrize("texts", UNIT_IN_CHART_PAIRS, ids=["cusp", "ex1"])
+def test_factor_that_leaves_the_chain(ctx, texts, monkeypatch):
+    fs = [parse_poly(s, ctx) for s in texts]
+    images = []
+    apply = HNMap.apply
+
+    def spy(m, h, n=None):
+        images.append(apply(m, h, n))
+        return images[-1]
+
+    monkeypatch.setattr(HNMap, "apply", spy)
+    t = build_tree_multi(fs)
+    monkeypatch.undo()
+    # no chart is spent on a strand that is a unit there
+    assert images and all(vanishes_at_origin(w) for w in images)
+    single = build_tree(fs[0] * fs[1])
+    assert t.to_json_dict() == single.to_json_dict()
+    assert vertex_report(t) == vertex_report(single)
+    assert t.ctx == ctx
+    for arrow in t.arrows("branch"):
+        if arrow.path is None:
+            axis = arrow.label[0]
+            mults = [h.x_mult() if axis == "x" else h.y_mult() for h in fs]
+        else:
+            # replay the arrow's charts on each factor: only its owner
+            # still passes through the origin of the last chart, where the
+            # constant term (total degree < 1) is all that is needed
+            mults = []
+            for h in fs:
+                for k, (p, q, mu, _, _) in enumerate(arrow.path, 1):
+                    n = 1 if k == len(arrow.path) else None
+                    h = hn_map(p, q, mu, ctx).apply(h, n)
+                mults.append(int(vanishes_at_origin(h)))
+        assert mults == [int(k == arrow.owner) for k in range(2)]
+    assert intersect_tree(*fs) == local_intersection(*fs).value
