@@ -582,12 +582,6 @@ def uni_factor(ctx, f):
     return lead, out
 
 
-def uni_roots(ctx, f):
-    """Roots of f lying in ctx itself, with multiplicities."""
-    _, fac = uni_factor(ctx, f)
-    return [(ctx.neg(g[0]), m) for g, m in fac if uni_deg(g) == 1]
-
-
 def _int_divisors(n):
     n = abs(n)
     if n > RATIONAL_ROOT_LIMIT:

@@ -65,17 +65,6 @@ def rho(t, v, w):
     return acc
 
 
-def rho_bar(t, v, w):
-    """Like rho but v's own off-path decorations are included as well."""
-    nodes, eids = _tree_path(t, v, w)
-    acc = 1
-    for nid in nodes[1:-1]:
-        acc *= _off_path_product(t, nid, eids)
-    if t.nodes[v].kind == "vertex":
-        acc *= _off_path_product(t, v, eids)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # delta, expected Milnor number, area check
 
@@ -238,26 +227,12 @@ def conductor(s):
     return s.c
 
 
-def _semigroup_table(s):
+def semigroup_gaps(s):
+    """Sorted list of the gaps; there are exactly delta of them."""
     reach = [False] * max(s.c, 1)
     reach[0] = True
     for k in range(1, len(reach)):
         reach[k] = any(k >= g and reach[k - g] for g in s.vs)
-    return reach
-
-
-def semigroup_membership(s, n):
-    """n in <v_0..v_r>, decided by a table up to the conductor."""
-    if n < 0:
-        return False
-    if n >= s.c:
-        return True
-    return _semigroup_table(s)[n]
-
-
-def semigroup_gaps(s):
-    """Sorted list of the gaps; there are exactly delta of them."""
-    reach = _semigroup_table(s)
     return [k for k in range(1, s.c) if not reach[k]]
 
 
@@ -521,13 +496,6 @@ def parametrize_branch(f, terms=64):
 # intersection multiplicities
 
 
-def _common_through_origin(f, g):
-    if f.is_zero() or g.is_zero():
-        return vanishes_at_origin(f) and vanishes_at_origin(g)
-    d = gcd_bipoly(f, g)
-    return d.ord() > 0 if len(d.c) else False
-
-
 def intersect_tree(f, g):
     """Intersection number at the origin from the tree of f*g; math.inf
     when f and g share a component through the origin."""
@@ -535,7 +503,7 @@ def intersect_tree(f, g):
         raise InternalError("mixed coefficient contexts")
     if not vanishes_at_origin(f) or not vanishes_at_origin(g):
         return 0
-    if _common_through_origin(f, g):
+    if vanishes_at_origin(gcd_bipoly(f, g)):
         return INF
     t = build_tree_multi([f, g])
     fa = [a.nid for a in t.arrows("branch") if a.owner == 0]
@@ -550,7 +518,7 @@ def intersect_param(f, g, terms=None):
         raise InternalError("mixed coefficient contexts")
     if not vanishes_at_origin(f) or not vanishes_at_origin(g):
         return 0
-    if _common_through_origin(f, g):
+    if vanishes_at_origin(gcd_bipoly(f, g)):
         return INF
     t = build_tree(f)
     arrows = t.arrows("branch")

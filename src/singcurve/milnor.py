@@ -136,8 +136,7 @@ def local_intersection(g, h):
         if v is not None:
             return LocalMult(v)
         if n > bound:
-            d = gcd_bipoly(g, h)
-            if d.c and min(i + j for i, j in d.c) > 0:
+            if vanishes_at_origin(gcd_bipoly(g, h)):
                 return LocalMult(INF)
             raise InternalError(
                 "reduction failed to certify beyond the Bezout bound")

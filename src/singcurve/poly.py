@@ -7,12 +7,14 @@ enables the generator symbol g); the printer emits a canonical form the
 parser accepts back, except for non-integer rationals.
 """
 
+import functools
+import itertools
 import math
-from fractions import Fraction
 
 from .errors import NotAUnit, ParseError, ZeroPolynomial
-from .field import (PrimeFieldCtx, uni_deg, uni_eval, uni_gcd, uni_mul,
-                    uni_quo, uni_sub, uni_trim)
+from .field import (ExtFieldCtx, PrimeFieldCtx, embedding, uni_add, uni_deg,
+                    uni_eval, uni_gcd, uni_mul, uni_quo, uni_scale, uni_sub,
+                    uni_trim)
 
 
 class BiPoly:
@@ -229,7 +231,7 @@ def mul_into(out, f, g, n=None):
 
 def mul_unit_truncated(f, unit, trunc):
     """f * unit keeping total degree < trunc; unit(0,0) must be nonzero."""
-    if unit.is_zero() or f.ctx.is_zero(unit.coeff(0, 0)):
+    if vanishes_at_origin(unit):
         raise NotAUnit("unit factor must not vanish at the origin")
     out = BiPoly(f.ctx)
     mul_into(out.c, f, unit, trunc)
@@ -412,15 +414,6 @@ def _to_yrows(f):
     return [uni_trim(ctx, r) for r in rows]
 
 
-def _from_yrows(ctx, rows):
-    out = BiPoly(ctx)
-    for j, row in enumerate(rows):
-        for i, v in enumerate(row):
-            if not ctx.is_zero(v):
-                out.c[(i, j)] = v
-    return out
-
-
 def _rows_trim(rows):
     while rows and not rows[-1]:
         rows.pop()
@@ -428,21 +421,13 @@ def _rows_trim(rows):
 
 
 def _rows_content(ctx, rows):
+    """Monic gcd of the rows, the content of a polynomial in y over K[x]."""
     cont = []
     for r in rows:
         cont = uni_gcd(ctx, cont, r)
+        if len(cont) == 1:
+            break
     return cont
-
-
-def _rows_divexact_uni(ctx, rows, d):
-    return [uni_quo(ctx, r, d) if r else [] for r in rows]
-
-
-def _rows_primitive(ctx, rows):
-    cont = _rows_content(ctx, rows)
-    if uni_deg(cont) < 1:
-        return rows, cont
-    return _rows_divexact_uni(ctx, rows, cont), cont
 
 
 def _rows_pseudo_rem(ctx, a, b):
@@ -463,38 +448,107 @@ def _rows_pseudo_rem(ctx, a, b):
     return _rows_trim(r)
 
 
+def _interpolate(ctx, xs, vs):
+    """The polynomial of degree < len(xs) taking the value vs[k] at xs[k]."""
+    out, basis = [], [ctx.one]
+    for a, v in zip(xs, vs):
+        c = ctx.div(ctx.sub(v, uni_eval(ctx, out, a)), uni_eval(ctx, basis, a))
+        out = uni_add(ctx, out, uni_scale(ctx, basis, c))
+        basis = uni_mul(ctx, basis, [ctx.neg(a), ctx.one])
+    return out
+
+
+def _gcd_primitive(ctx, fr, gr, points=None):
+    """Primitive part of the gcd of two polynomials in y over K[x], given
+    as rows, by evaluation at x = a and interpolation; as a BiPoly whose
+    largest key (i, j) has coefficient 1.
+
+    Where neither leading coefficient vanishes, the image gcd has at least
+    the y-degree of the primitive gcd h, and exactly that degree except at
+    finitely many unlucky points.  Scaled by gamma(a), the images of that
+    degree are values of gamma/lc(h) * h, whose x-degree is at most
+    deg gamma + min(deg_x f, deg_x g); that many points plus one fix it.
+    A primitive h divides f iff the pseudo-remainder vanishes.  The points
+    are the integers over Q and the elements of a finite ctx.  When those
+    run out, the rows go to the quadratic extension, whose new points come
+    before the old ones; the normalised gcd found there lies in ctx.
+    """
+    top = min(len(fr), len(gr))
+    if top == 1:
+        # one of them lies in K[x]: its primitive part is 1
+        return BiPoly.const(ctx, ctx.one)
+    lf, lg = fr[-1], gr[-1]
+    gamma = uni_gcd(ctx, lf, lg)
+    need = uni_deg(gamma) + min(max(map(len, fr)), max(map(len, gr)))
+    xs, images = [], []
+    if points is None:
+        points = (ctx.elements() if ctx.characteristic
+                  else map(ctx.from_int, itertools.count()))
+    for a in points:
+        if ctx.is_zero(uni_eval(ctx, lf, a)) or ctx.is_zero(uni_eval(ctx, lg, a)):
+            continue
+        u = uni_gcd(ctx, [uni_eval(ctx, r, a) for r in fr],
+                    [uni_eval(ctx, r, a) for r in gr])
+        if len(u) == 1:
+            return BiPoly.const(ctx, ctx.one)
+        if len(u) > top:
+            continue
+        if len(u) < top:
+            top, xs, images = len(u), [], []
+        xs.append(a)
+        images.append(uni_scale(ctx, u, uni_eval(ctx, gamma, a)))
+        if len(xs) == need:
+            h = [_interpolate(ctx, xs, [im[j] for im in images])
+                 for j in range(top)]
+            cont = _rows_content(ctx, h)
+            h = [uni_quo(ctx, r, cont) for r in h]
+            if not _rows_pseudo_rem(ctx, fr, h) and not _rows_pseudo_rem(ctx, gr, h):
+                return _lead_one(BiPoly(ctx, {(i, j): v for j, r in enumerate(h)
+                                              for i, v in enumerate(r)}))
+            # every kept point was unlucky: the gcd has a lower y-degree
+            top, xs, images = top - 1, [], []
+    big, e, back = _quadratic_extension(ctx)
+    fr, gr = ([[e(c) for c in r] for r in rows] for rows in (fr, gr))
+    fresh = (a for a in big.elements() if a not in back)
+    return _gcd_primitive(big, fr, gr, itertools.chain(fresh, back)).map_coeffs(
+        back.__getitem__, ctx)
+
+
+@functools.cache
+def _quadratic_extension(ctx):
+    """F_{q^2} for ctx = F_q, the embedding, and the table back from its
+    image; a field only runs out of points when it is small."""
+    big = ExtFieldCtx(ctx.characteristic, 2 * ctx.ext_degree, seed=ctx.seed)
+    e = embedding(ctx, big)
+    return big, e, {e(c): c for c in ctx.elements()}
+
+
+def _lead_one(f):
+    """f scaled so that the coefficient of its largest key (i, j) is 1."""
+    return f.scale(f.ctx.inv(f.c[max(f.c)])) if f.c else f
+
+
 def gcd_bipoly(f, g):
-    """Gcd of two bivariate polynomials (primitive, monic-normalized lead)."""
+    """Gcd of two bivariate polynomials, scaled so that the coefficient of
+    its lexicographically largest key (i, j) is 1; gcd(f, 0) is f so scaled.
+
+    The gcd is x^a y^b, times the common content in K[x] of the two
+    cofactors of their monomials, times the primitive part from Brown's
+    dense evaluation-interpolation gcd (_gcd_primitive).  Its points are
+    the integers over Q and ctx.elements() over F_q, then the elements of
+    F_{q^2} when F_q has too few; the interpolated gcd is accepted only
+    when it divides both.  The largest key of a product is the sum of the
+    factors' largest keys, so the product of the monic parts is monic.
+    """
     ctx = f.ctx
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    fr, fc = _rows_primitive(ctx, _to_yrows(f))
-    gr, gc = _rows_primitive(ctx, _to_yrows(g))
-    cont = uni_gcd(ctx, fc if fc else [ctx.one], gc if gc else [ctx.one])
-    a, b = fr, gr
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _rows_pseudo_rem(ctx, a, b)
-        if not r:
-            a = b
-            b = []
-            break
-        r, _ = _rows_primitive(ctx, r)
-        a, b = b, r
-    if len(b) == 1:
-        # gcd has y-degree 0: only the contents can share a factor
-        d = uni_gcd(ctx, _rows_content(ctx, a), b[0])
-        rows = [uni_mul(ctx, d, cont)] if uni_deg(uni_mul(ctx, d, cont)) >= 0 else []
-        return _from_yrows(ctx, rows)
-    a, _ = _rows_primitive(ctx, a)
-    rows = [uni_mul(ctx, r, cont) for r in a]
-    out = _from_yrows(ctx, rows)
-    # normalize so the leading coefficient is monic in x
-    lead = out.c[max(out.c)]
-    return out.scale(ctx.inv(lead))
+    if f.is_zero() or g.is_zero():
+        return _lead_one(g if f.is_zero() else f)
+    fr, gr = ([r[h.x_mult():] for r in _to_yrows(h)[h.y_mult():]]
+              for h in (f, g))
+    a, b = min(f.x_mult(), g.x_mult()), min(f.y_mult(), g.y_mult())
+    cont = _rows_content(ctx, fr + gr)
+    return _gcd_primitive(ctx, fr, gr) * BiPoly(
+        ctx, {(i + a, b): v for i, v in enumerate(cont)})
 
 
 def reduce_mod(f, p):
@@ -513,87 +567,20 @@ def reduce_mod(f, p):
     return out, None
 
 
-# Primes above any degree we handle, used to certify squarefreeness over Q.
-_WITNESS_PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
-
-
-def _reduced_mod_witness(f):
-    """Try to certify that f (over Q) is reduced at the origin modulo a prime.
-
-    If some prime image preserves the bidegree and is reduced at the origin,
-    so is f: a repeated factor through the origin would survive reduction
-    with its degree intact.  Returns False when no listed prime certifies;
-    that is not a proof of a repeated factor, only a cue to compute exactly.
-    """
-    den = math.lcm(*(v.denominator for v in f.c.values()))
-    cont = math.gcd(*(int(v * den) for v in f.c.values()))
-    ints = f.scale(Fraction(den, cont))
-    dx, dy = f.deg_x(), f.deg_y()
-    for p in _WITNESS_PRIMES:
-        fp, _ = reduce_mod(ints, p)
-        if fp is None or fp.deg_x() != dx or fp.deg_y() != dy:
-            continue
-        if reduced_check(fp)[0]:
-            return True
-    return False
-
-
-def _reduced_eval_fast(f, fx, fy):
-    """Decide gcd(f, fx, fy) by evaluation when it has no y in it.
-
-    At a point a where the leading y-coefficient of f survives, every
-    common factor with positive y-degree keeps its y-degree under x = a,
-    so a constant gcd of the evaluations proves the true common factor
-    lies in K[x].  There it equals the gcd of the y-contents, and the
-    germ is reduced exactly when that gcd does not vanish at x = 0.
-    Returns None when no point certifies; the caller then falls back to
-    the full bivariate gcd.
-    """
-    ctx = f.ctx
-    rows = [_to_yrows(g) for g in (f, fx, fy) if not g.is_zero()]
-    lead = rows[0][-1]
-    limit = uni_deg(lead) + 4
-    if ctx.characteristic:
-        limit = min(limit, ctx.characteristic)
-    strikes = 0
-    for k in range(limit):
-        a = ctx.from_int(k)
-        if ctx.is_zero(uni_eval(ctx, lead, a)):
-            continue
-        u = []
-        for rs in rows:
-            ev = uni_trim(ctx, [uni_eval(ctx, r, a) for r in rs])
-            u = uni_gcd(ctx, u, ev)
-            if uni_deg(u) == 0:
-                break
-        if uni_deg(u) != 0:
-            # either a y-positive common factor or a chance collision
-            strikes += 1
-            if strikes >= 3:
-                return None
-            continue
-        cont = []
-        for rs in rows:
-            cont = uni_gcd(ctx, cont, _rows_content(ctx, rs))
-        if uni_deg(cont) <= 0 or not ctx.is_zero(cont[0]):
-            return True, None
-        return False, _from_yrows(ctx, [cont])
-    return None
-
-
 def reduced_check(f):
     """(is_reduced_as_a_germ, witness).
 
-    The witness is a repeated factor through the origin, or the p-th root when
-    f lies in K[x^p, y^p].  Units are reduced.  Uses gcd(f, f_x, f_y): f is
-    reduced at the origin iff that gcd does not vanish there.  Over Q a
-    modular certificate is tried first, since the subresultant chain on
-    rational coefficients is painfully slow on curves of any size.
+    Three stages.  A unit is reduced.  When f lies in K[x^p, y^p] it is a
+    p-th power, and its p-th root is the witness.  Otherwise f is reduced
+    at the origin iff d = gcd(f, f_x, f_y) does not vanish there, and d is
+    the witness, scaled so that the coefficient of its largest key (i, j)
+    is 1.  d is one exact gcd_bipoly: x evaluated at the integers over Q,
+    at the elements of F_q, and at those of F_{q^2} when F_q has too few.
     """
     ctx = f.ctx
     if f.is_zero():
         raise ZeroPolynomial("reduced_check of the zero polynomial")
-    if not ctx.is_zero(f.coeff(0, 0)):
+    if not vanishes_at_origin(f):
         return True, None
     fx, fy = partials(f)
     if fx.is_zero() and fy.is_zero():
@@ -604,12 +591,7 @@ def reduced_check(f):
         for (i, j), v in f.c.items():
             root.c[(i // p, j // p)] = ctx.pow(v, e)
         return False, root
-    if ctx.characteristic == 0 and _reduced_mod_witness(f):
-        return True, None
-    fast = _reduced_eval_fast(f, fx, fy)
-    if fast is not None:
-        return fast
     d = gcd_bipoly(gcd_bipoly(f, fx), fy)
-    if d.is_zero() or not ctx.is_zero(d.coeff(0, 0)):
-        return True, None
-    return False, d
+    if vanishes_at_origin(d):
+        return False, d
+    return True, None

