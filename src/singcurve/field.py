@@ -10,6 +10,7 @@ uni_* functions, which all take the context as first argument.
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 from .errors import (Char0IrreducibleRemainder, Char0Unsupported,
@@ -20,6 +21,9 @@ from .errors import (Char0IrreducibleRemainder, Char0Unsupported,
 # bound (Sorenson and Webster 2015)
 PRIME_TEST_LIMIT = 3317044064679887385961981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# struct codes of the standard little-endian unsigned sizes in bytes
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 # rational roots are found among quotients of divisors of the end
 # coefficients, which are listed by trial division up to their square root
@@ -66,6 +70,36 @@ def _prime_divisors(n):
     return out
 
 
+def _slot_size(w):
+    """The struct size that holds a w-byte slot, None past 8 bytes."""
+    return next((s for s in _STRUCT_CODES if s >= w), None)
+
+
+def _pack_slots(row, w, size):
+    """The int with the entries of row, each below 256^w, in consecutive
+    little-endian w-byte slots; size is _slot_size(w)."""
+    if size is None:
+        return int.from_bytes(b"".join([c.to_bytes(w, "little")
+                                        for c in row]), "little")
+    data = struct.pack(f"<{len(row)}{_STRUCT_CODES[size]}", *row)
+    buf = bytearray(w * len(row))
+    for t in range(w):
+        buf[t::w] = data[t::size]
+    return int.from_bytes(buf, "little")
+
+
+def _unpack_slots(data, w, size, m):
+    """The first m little-endian w-byte slots of the bytes data, as ints;
+    size is _slot_size(w)."""
+    if size is None:
+        return [int.from_bytes(data[k:k + w], "little")
+                for k in range(0, m * w, w)]
+    buf = bytearray(size * m)
+    for t in range(w):
+        buf[t::size] = data[t:m * w:w]
+    return struct.unpack(f"<{m}{_STRUCT_CODES[size]}", buf)
+
+
 class FieldCtx:
     """Base arithmetic context; subclasses fix the element representation."""
 
@@ -94,6 +128,41 @@ class FieldCtx:
 
     def mul_int(self, a, n):
         return self.mul(a, self.from_int(n))
+
+    def sub_mul_rows(self, g, f, q, n):
+        """Rows g_j - q*f_j over the rows f_j of f, row j cut at length
+        n - j, and whether some product term fell at or past its cut.
+
+        Rows are little-endian coefficient lists in x without trailing
+        zeros, q is one such list, and g may have fewer rows than f; rows
+        past those of f are kept as they are and no argument is changed.
+        This default walks the nonzero entries of each f_j.
+        """
+        mul, add, is_zero = self.mul, self.add, self.is_zero
+        neg_q = [(k, self.neg(c)) for k, c in enumerate(q) if not is_zero(c)]
+        dq = len(q) - 1
+        out = list(g) + [[] for _ in range(len(f) - len(g))]
+        cut = False
+        for j, fj in enumerate(f):
+            if not fj:
+                continue
+            width = n - j
+            # None marks a zero that no term has reached yet
+            row = [None if is_zero(v) else v for v in out[j]]
+            row += [None] * (min(width, len(fj) + dq) - len(row))
+            for i, c in enumerate(fj):
+                if is_zero(c):
+                    continue
+                if i + dq >= width:
+                    cut = True
+                for k, b in neg_q:
+                    if i + k >= width:
+                        break
+                    v, w = row[i + k], mul(b, c)
+                    row[i + k] = w if v is None else add(v, w)
+            out[j] = uni_trim(self, [self.zero if v is None else v
+                                     for v in row])
+        return out, cut
 
     def __eq__(self, other):
         return (type(self) is type(other)
@@ -140,7 +209,7 @@ class RationalCtx(FieldCtx):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        return 1 / a
+        return 1 / Fraction(a)
 
     def rand_elem(self, rng):
         return Fraction(rng.randint(-9, 9))
@@ -201,6 +270,39 @@ class PrimeFieldCtx(FieldCtx):
 
     def elements(self):
         return range(self.p)
+
+    def sub_mul_rows(self, g, f, q, n):
+        """FieldCtx.sub_mul_rows with one big-int product per row.
+
+        q and each f_j are packed into ints with one w-byte slot per
+        coefficient, w wide enough for (p - 1)^2 len(q), which bounds every
+        coefficient of q*f_j; the product's slots are then its coefficients
+        (Kronecker substitution, Harvey 2009).  Every entry must be an int
+        in [0, p).
+        """
+        p, lq = self.p, len(q)
+        # max: the entries themselves must fit when q is empty
+        w = ((p - 1) ** 2 * max(lq, 1)).bit_length() // 8 + 1
+        size = _slot_size(w)
+        qi = _pack_slots(q, w, size)
+        out = list(g) + [[] for _ in range(len(f) - len(g))]
+        cut = False
+        for j, fj in enumerate(f):
+            if not fj:
+                continue
+            m = lq + len(fj) - 1
+            if m > n - j:
+                cut, m = True, n - j
+            data = (qi * _pack_slots(fj, w, size)).to_bytes(
+                (lq + len(fj) - 1) * w, "little")
+            gj = out[j] + [0] * (m - len(out[j]))
+            row = [(a - c) % p
+                   for a, c in zip(gj, _unpack_slots(data, w, size, m))]
+            row += gj[m:]
+            while row and not row[-1]:
+                row.pop()
+            out[j] = row
+        return out, cut
 
     def to_str(self, a):
         return str(a % self.p)

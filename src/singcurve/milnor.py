@@ -8,13 +8,21 @@ splits off.  Each round is cut at total degree n and gives up once its
 count reaches n, and n doubles until a round certifies; only past the
 Bezout bound does one exact gcd tell infinity (a shared branch) from a
 fault.
+
+A round holds each polynomial as dense y-rows: row j lists the
+x-coefficients of y^j and is at most n - j long, so the cut is each row's
+length.  A step g_j -= q(x) f_j runs over all rows in one context kernel,
+FieldCtx.sub_mul_rows; over F_p it packs q once and each f_j into a big
+int and does one product per row (Kronecker substitution), elsewhere it
+walks the nonzero entries of f_j.  A step is cut when some product term
+lands at total degree >= n, that is deg q + deg f_j + j >= n.
 """
 
 from .errors import InternalError, TruncationUnstable
 from .field import uni_deg, uni_divmod, uni_gcd, uni_order, uni_trim
 from .invariants import INF, rho, tree_mu_bar
 from .newton import face_line, newton_polygon
-from .poly import (BiPoly, clip_total, gcd_bipoly, mul_into,
+from .poly import (BiPoly, _rows_trim, _to_yrows, gcd_bipoly,
                    mul_unit_truncated, partials, reduce_mod, reduced_check,
                    vanishes_at_origin)
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity, \
@@ -38,15 +46,15 @@ class LocalMult:
         return f"LocalMult({self.value})"
 
 
-def _sub_mul_clip(g, f, q, n):
-    """g - q(x)*f keeping total degree < n; flags dropped terms."""
-    ctx = g.ctx
-    out = dict(g.c)
-    neg_q = BiPoly(ctx, {(k, 0): ctx.neg(c) for k, c in enumerate(q)})
-    dropped = mul_into(out, neg_q, f, n)
-    r = BiPoly(ctx)
-    r.c = out
-    return r, dropped
+def _sub_mul_clip(ctx, g, f, q, n):
+    """Rows of g - q(x)*f keeping total degree < n; flags dropped terms."""
+    g, dropped = ctx.sub_mul_rows(g, f, q, n)
+    return _rows_trim(g), dropped
+
+
+def _is_unit(ctx, rows):
+    """The polynomial of these rows does not vanish at the origin."""
+    return bool(rows[0]) and not ctx.is_zero(rows[0][0])
 
 
 def _reduce_pair(f, g, n):
@@ -58,15 +66,17 @@ def _reduce_pair(f, g, n):
     when that fails and the caller should double n.  A common-branch
     signal (an axis dividing both, or one argument a multiple of the
     other) is a certified infinity in a run that never cut anything.
+    The round runs on y-rows: row j holds the x-coefficients of y^j and
+    is at most n - j long.
     """
     ctx = f.ctx
     acc = 0
     base = None  # acc when truncation first bit, None while the run is exact
-    f, fc = clip_total(f, n)
-    g, gc = clip_total(g, n)
+    f, fc = _to_yrows(f, n)
+    g, gc = _to_yrows(g, n)
     if fc or gc:
         base = 0
-    if f.is_zero() or g.is_zero():
+    if not f or not g:
         return None
     while True:
         # keeps infinite pairs from spinning: acc <= value in exact runs,
@@ -74,14 +84,20 @@ def _reduce_pair(f, g, n):
         # runs live until the certificate itself is dead
         if acc >= n and (base is None or acc - base >= n):
             return None
-        if not vanishes_at_origin(f) or not vanishes_at_origin(g):
+        if _is_unit(ctx, f) or _is_unit(ctx, g):
             return acc if base is None or acc - base < n else None
         for first in (True, False):
             h = f if first else g
             other = g if first else f
-            a, b = h.x_mult(), h.y_mult()
+            # the x-order is 0 as soon as one row has a constant term
+            a = 0 if any(r and not ctx.is_zero(r[0]) for r in h) else min(
+                uni_order(ctx, r) for r in h if r)
+            b = next(j for j, r in enumerate(h) if r)
             if a or b:
-                for mult, rest in ((a, other.subs_x0()), (b, other.subs_y0())):
+                # other(0, y) and other(x, 0)
+                rests = ((a, [r[0] if r else ctx.zero for r in other]),
+                         (b, other[0]))
+                for mult, rest in rests:
                     if not mult:
                         continue
                     o = uni_order(ctx, rest)
@@ -90,23 +106,21 @@ def _reduce_pair(f, g, n):
                         # when nothing was cut, inconclusive otherwise
                         return INF if base is None else None
                     acc += mult * o
-                h = h.div_monomial(a, b)
+                h = [r[a:] for r in h[b:]]
                 if first:
                     f = h
                 else:
                     g = h
-        if not vanishes_at_origin(f) or not vanishes_at_origin(g):
+        if _is_unit(ctx, f) or _is_unit(ctx, g):
             return acc if base is None or acc - base < n else None
-        fr = f.subs_y0()
-        gr = g.subs_y0()
-        if len(fr) > len(gr):
-            f, g, fr, gr = g, f, gr, fr
+        if len(f[0]) > len(g[0]):
+            f, g = g, f
         # cancel g's whole y=0 restriction down to a remainder in one pass
-        q, _ = uni_divmod(ctx, gr, fr)
-        g, dropped = _sub_mul_clip(g, f, q, n)
+        q, _ = uni_divmod(ctx, g[0], f[0])
+        g, dropped = _sub_mul_clip(ctx, g, f, q, n)
         if dropped and base is None:
             base = acc
-        if g.is_zero():
+        if not g:
             # g was a multiple of f: a common branch in the exact run
             return INF if base is None else None
 
@@ -129,6 +143,11 @@ def local_intersection(g, h):
         return LocalMult(INF if vanishes_at_origin(other) else 0)
     if not vanishes_at_origin(g) or not vanishes_at_origin(h):
         return LocalMult(0)
+    # BiPoly keeps coefficients as given; the packed F_p kernel needs ints
+    # in [0, p), and ctx.add puts any element in its canonical form
+    ctx = g.ctx
+    g, h = (BiPoly(ctx, {k: ctx.add(ctx.zero, v) for k, v in e.c.items()})
+            for e in (g, h))
     bound = max(i + j for i, j in g.c) * max(i + j for i, j in h.c)
     n = _REDUCE_START
     while True:

@@ -135,25 +135,6 @@ class BiPoly:
             raise ZeroPolynomial("y_mult of the zero polynomial")
         return min(j for _, j in self.c)
 
-    def div_monomial(self, a, b):
-        """Exact division by x^a y^b."""
-        r = BiPoly(self.ctx)
-        for (i, j), v in self.c.items():
-            if i < a or j < b:
-                raise ValueError("monomial does not divide")
-            r.c[(i - a, j - b)] = v
-        return r
-
-    def subs_y0(self):
-        """f(x, 0) as a univariate coefficient list in x."""
-        ctx = self.ctx
-        n = max((i for (i, j) in self.c if j == 0), default=-1)
-        out = [ctx.zero] * (n + 1)
-        for (i, j), v in self.c.items():
-            if j == 0:
-                out[i] = v
-        return uni_trim(ctx, out)
-
     def subs_x0(self):
         """f(0, y) as a univariate coefficient list in y."""
         ctx = self.ctx
@@ -402,16 +383,22 @@ def poly_str(f):
 # bivariate gcd and the reduced test
 
 
-def _to_yrows(f):
-    """BiPoly -> list over y-degree of univariate-in-x coefficient lists."""
+def _to_yrows(f, n=math.inf):
+    """BiPoly -> list over y-degree of univariate-in-x coefficient lists
+    without trailing zeros, keeping total degree < n, and whether any
+    monomial fell; row j of the result is at most n - j long."""
     ctx = f.ctx
-    rows = [[] for _ in range(f.deg_y() + 1)] if not f.is_zero() else []
+    rows = [[] for _ in range(f.deg_y() + 1)]
+    cut = False
     for (i, j), v in f.c.items():
+        if i + j >= n:
+            cut = True
+            continue
         row = rows[j]
         if len(row) <= i:
             row.extend([ctx.zero] * (i + 1 - len(row)))
         row[i] = v
-    return [uni_trim(ctx, r) for r in rows]
+    return _rows_trim([uni_trim(ctx, r) for r in rows]), cut
 
 
 def _rows_trim(rows):
@@ -543,7 +530,7 @@ def gcd_bipoly(f, g):
     ctx = f.ctx
     if f.is_zero() or g.is_zero():
         return _lead_one(g if f.is_zero() else f)
-    fr, gr = ([r[h.x_mult():] for r in _to_yrows(h)[h.y_mult():]]
+    fr, gr = ([r[h.x_mult():] for r in _to_yrows(h)[0][h.y_mult():]]
               for h in (f, g))
     a, b = min(f.x_mult(), g.x_mult()), min(f.y_mult(), g.y_mult())
     cont = _rows_content(ctx, fr + gr)

@@ -12,9 +12,11 @@ from sympy import GF, Poly, symbols
 
 from singcurve.errors import (BadOrder, InternalError, NotCoprime,
                              OrderMismatch, ParityViolation)
-from singcurve.field import uni_gcd, uni_mul, uni_quo, uni_sub, uni_trim
+from singcurve.field import (uni_divmod, uni_gcd, uni_mul, uni_order,
+                             uni_quo, uni_sub, uni_trim)
 from singcurve.hn import hn_map
-from singcurve.poly import BiPoly, clip_total
+from singcurve.invariants import INF
+from singcurve.poly import BiPoly, clip_total, mul_into, vanishes_at_origin
 
 X, Y, U, T = symbols("x y u t")
 
@@ -523,3 +525,78 @@ def gcd_prs(f, g):
     out = BiPoly(ctx, {(i, j): v for j, r in enumerate(a)
                        for i, v in enumerate(r)})
     return out.scale(ctx.inv(out.c[max(out.c)])) if out.c else out
+
+
+# ---------------------------------------------------------------------------
+# one round of the Milnor reduction on BiPoly dicts, term by term through
+# mul_into (checked against full_product in test_poly): the reference for
+# the library's round on y-rows (milnor._reduce_pair), with the same
+# rounds, cut flag and certificate.
+
+
+def _subs_y0(f):
+    """f(x, 0) as a coefficient list in x."""
+    return uni_trim(f.ctx, [f.coeff(i, 0) for i in range(f.deg_x() + 1)])
+
+
+def _div_monomial(f, a, b):
+    """f / (x^a y^b) for a monomial that divides f."""
+    return BiPoly(f.ctx, {(i - a, j - b): v for (i, j), v in f.c.items()})
+
+
+def dict_sub_mul_clip(g, f, q, n):
+    """g - q(x)*f keeping total degree < n; flags dropped terms."""
+    ctx = g.ctx
+    out = dict(g.c)
+    neg_q = BiPoly(ctx, {(k, 0): ctx.neg(c) for k, c in enumerate(q)})
+    dropped = mul_into(out, neg_q, f, n)
+    r = BiPoly(ctx)
+    r.c = out
+    return r, dropped
+
+
+def dict_reduce_pair(f, g, n):
+    """One reduction round cut at total degree n: the value, INF or None."""
+    ctx = f.ctx
+    acc = 0
+    base = None  # acc when truncation first bit, None while the run is exact
+    f, fc = clip_total(f, n)
+    g, gc = clip_total(g, n)
+    if fc or gc:
+        base = 0
+    if f.is_zero() or g.is_zero():
+        return None
+    while True:
+        if acc >= n and (base is None or acc - base >= n):
+            return None
+        if not vanishes_at_origin(f) or not vanishes_at_origin(g):
+            return acc if base is None or acc - base < n else None
+        for first in (True, False):
+            h = f if first else g
+            other = g if first else f
+            a, b = h.x_mult(), h.y_mult()
+            if a or b:
+                for mult, rest in ((a, other.subs_x0()), (b, _subs_y0(other))):
+                    if not mult:
+                        continue
+                    o = uni_order(ctx, rest)
+                    if o is None:
+                        return INF if base is None else None
+                    acc += mult * o
+                h = _div_monomial(h, a, b)
+                if first:
+                    f = h
+                else:
+                    g = h
+        if not vanishes_at_origin(f) or not vanishes_at_origin(g):
+            return acc if base is None or acc - base < n else None
+        fr = _subs_y0(f)
+        gr = _subs_y0(g)
+        if len(fr) > len(gr):
+            f, g, fr, gr = g, f, gr, fr
+        q, _ = uni_divmod(ctx, gr, fr)
+        g, dropped = dict_sub_mul_clip(g, f, q, n)
+        if dropped and base is None:
+            base = acc
+        if g.is_zero():
+            return INF if base is None else None

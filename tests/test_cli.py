@@ -53,6 +53,13 @@ def test_mu_with_unit_matches_library():
     assert out == str(want)
 
 
+@pytest.mark.parametrize("p, mu", [(5, "157"), (7, "156")])
+def test_mu_of_ex1_times_a_unit(p, mu):
+    # the partials of the unit multiple, cut at degree 316, reduce on dense
+    # rows: 5-6 s each on dicts
+    assert _ok("mu", p=p, f_text=EX1, unit_text="1 + x + y + x y") == mu
+
+
 def test_tree_ascii_empty_face():
     out = _ok("tree", f_text="x y")
     lines = out.splitlines()

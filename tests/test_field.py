@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from singcurve.errors import (Char0IrreducibleRemainder, DivisionByZero,
                               InputError)
-from singcurve.field import (ExtFieldCtx, PrimeFieldCtx, RationalCtx,
-                             adjoin_splitting, embedding, field_ctx, is_prime,
-                             uni_deg, uni_divmod, uni_eval, uni_factor,
-                             uni_gcd, uni_mul, uni_rational_roots,
-                             uni_squarefree, uni_trim)
+from singcurve.field import (PRIME_TEST_LIMIT, ExtFieldCtx, FieldCtx,
+                             PrimeFieldCtx, RationalCtx, adjoin_splitting,
+                             embedding, field_ctx, is_prime, uni_deg,
+                             uni_divmod, uni_eval, uni_factor, uni_gcd,
+                             uni_mul, uni_rational_roots, uni_squarefree,
+                             uni_trim)
+from singcurve.poly import BiPoly, _rows_trim, _to_yrows, clip_total
 
-from oracles import brute_roots, sympy_factor_fp
+from oracles import brute_roots, full_product, small_elem, sympy_factor_fp
 
 CTXS = [
     field_ctx(2), field_ctx(3), field_ctx(5), field_ctx(13),
@@ -69,6 +71,64 @@ def test_felem_examples():
     assert f9.pow(g, 8) == f9.one  # multiplicative group has order 8
     assert f9.pow(g, 3) == f9.mul(g, f9.mul(g, g))
     assert g not in (f9.zero, f9.one)
+
+
+def test_rational_inv_and_div_of_ints_are_fractions():
+    QQ = field_ctx(0)
+    for x in (QQ.inv(3), QQ.div(1, 3), QQ.div(2, 6)):
+        assert type(x) is Fraction and x == Fraction(1, 3)
+    g = uni_gcd(QQ, [1, 2, 1], [1, 1])
+    assert g == [1, 1] and all(type(c) is Fraction for c in g)
+
+
+# the largest prime whose primality is decided: its products need wide
+# slots in the packed kernel, about 21 bytes
+BIG_P = next(n for n in range(PRIME_TEST_LIMIT - 2, 0, -2) if is_prime(n))
+KERNEL_CTXS = [field_ctx(2), field_ctx(32003), field_ctx(BIG_P),
+               field_ctx(2, 3), field_ctx(7, 2), field_ctx(0)]
+_row_terms = st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 6)),
+                             st.tuples(st.integers(-4, 4), st.integers(0, 3)),
+                             max_size=30)
+_row_coeffs = st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 3)),
+                       max_size=30)
+
+
+def _check_sub_mul_rows(kernel, ctx, f, g, q, n):
+    # g - q(x)*f cut at total degree n, and the cut flag, from the full
+    # product; rows are made with the cut so that row j is <= n - j long
+    want, want_cut = full_product(
+        BiPoly(ctx, {(k, 0): c for k, c in enumerate(q)}),
+        clip_total(f, n)[0], n)
+    want = clip_total(g, n)[0] - want
+    fr, gr = _to_yrows(f, n)[0], _to_yrows(g, n)[0]
+    before = [list(r) for r in fr], [list(r) for r in gr]
+    rows, cut = kernel(ctx, gr, fr, q, n)
+    assert (fr, gr) == before
+    assert cut == want_cut
+    assert _rows_trim(rows) == _to_yrows(want)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KERNEL_CTXS), _row_terms, _row_terms, _row_coeffs,
+       st.integers(1, 48), st.booleans())
+def test_sub_mul_rows_matches_the_full_product(ctx, ft, gt, qc, n, generic):
+    f, g = (BiPoly(ctx, {k: small_elem(ctx, a, b) for k, (a, b) in t.items()})
+            for t in (ft, gt))
+    q = uni_trim(ctx, [small_elem(ctx, a, b) for a, b in qc])
+    kernel = FieldCtx.sub_mul_rows if generic else type(ctx).sub_mul_rows
+    _check_sub_mul_rows(kernel, ctx, f, g, q, n)
+
+
+@pytest.mark.parametrize("p", [2, 32003, BIG_P])
+@pytest.mark.parametrize("n", [1, 30, 60, 200])
+def test_packed_sub_mul_rows_at_full_slots(p, n):
+    # every coefficient p - 1: the middle of q*f_j reaches (p-1)^2 len(q),
+    # the bound the slot width is made for
+    ctx = field_ctx(p)
+    top = p - 1
+    f = BiPoly(ctx, {(i, j): top for j in range(4) for i in range(70)})
+    g = BiPoly(ctx, {(i, j): top for j in range(6) for i in range(0, 90, 3)})
+    _check_sub_mul_rows(PrimeFieldCtx.sub_mul_rows, ctx, f, g, [top] * 70, n)
 
 
 @given(st.integers(min_value=-2, max_value=200))

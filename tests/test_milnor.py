@@ -6,15 +6,21 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from singcurve.errors import TruncationUnstable
 from singcurve.field import field_ctx
 from singcurve.invariants import INF, intersect_param, intersect_tree, mu_bar
-from singcurve.milnor import check_conjecture, is_nd_face, is_nnd, \
-    local_intersection, milnor_number, polar_intersection
+from singcurve.milnor import _reduce_pair, check_conjecture, is_nd_face, \
+    is_nnd, local_intersection, milnor_number, polar_intersection
 from singcurve.newton import newton_polygon
-from singcurve.poly import BiPoly, mul_unit_truncated, parse_poly
+from singcurve.poly import BiPoly, mul_unit_truncated, parse_poly, partials
 
 from curves import EX1, EX2, four_lines
+from oracles import dict_reduce_pair, small_elem
 
 QQ = field_ctx(0)
 
@@ -82,6 +88,96 @@ def test_local_intersection_mixed_contexts_rejected():
 
     with pytest.raises(InternalError):
         local_intersection(_q("x"), _f("y", 5))
+
+
+@pytest.mark.parametrize("shift", [-7, 67, 10 ** 30])
+def test_local_intersection_of_unreduced_ints_over_fp(shift):
+    # BiPoly keeps any int that is not 0 mod p; coefficients shifted by
+    # multiples of 3 (negative; about 200, whose products overflow a 1-byte
+    # slot; wider than any slot) must give the value of the reduced ones
+    f, g = partials(_f("x y^7 + 2x^4y^3 + x^6y + 2x^9 + x^5y^5", 3))
+    want = local_intersection(f, g).value
+    f, g = (BiPoly(h.ctx, {k: v + 3 * shift for k, v in h.c.items()})
+            for h in (f, g))
+    assert min(f.c.values()) < 0 or max(f.c.values()) >= 3
+    assert local_intersection(f, g).value == want
+
+
+REDUCE_CTXS = [field_ctx(2), field_ctx(3), field_ctx(101), field_ctx(32003),
+               field_ctx(2, 3), field_ctx(7, 2), QQ]
+_coeff = st.tuples(st.integers(-4, 4), st.integers(0, 3))
+# y^a + x^b plus up to four terms anywhere: germs whose pairs meet with
+# multiplicities of up to about a hundred, so that rounds cut at n = 32 and
+# n = 64 run out of precision and later ones certify
+_germ = st.tuples(st.integers(1, 12), st.integers(1, 12),
+                  st.dictionaries(st.tuples(st.integers(0, 12),
+                                            st.integers(0, 12)),
+                                  _coeff, max_size=4))
+_factor = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          _coeff, max_size=3)
+
+
+def _from_terms(ctx, terms):
+    return BiPoly(ctx, {k: small_elem(ctx, a, b) for k, (a, b) in terms.items()})
+
+
+def _from_germ(ctx, germ):
+    a, b, noise = germ
+    return _from_terms(ctx, noise) + BiPoly(ctx, {(0, a): ctx.one,
+                                                  (b, 0): ctx.one})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(REDUCE_CTXS), _germ, _germ, _factor,
+       st.sampled_from(("pair", "shared", "partials", "unit")))
+def test_reduce_pair_matches_the_dict_oracle(ctx, fg, gg, ht, shape):
+    # the row round against the same round on dicts, term by term, at the
+    # first precisions; pairs with a common factor h, the partials of a
+    # germ, and pairs where f does not vanish at the origin
+    f, g, h = _from_germ(ctx, fg), _from_germ(ctx, gg), _from_terms(ctx, ht)
+    if shape == "shared":
+        f, g = f * h, g * h
+    elif shape == "partials":
+        f, g = partials(f)
+    elif shape == "unit":
+        f = f + BiPoly.const(ctx, ctx.one)
+    # a cut round on a shared branch runs until its certificate dies: past
+    # n = 32 that takes up to minutes over F_{7^2} and Q, on rows and dicts
+    for n in (32,) if shape == "shared" else (32, 64, 128):
+        assert _reduce_pair(f, g, n) == dict_reduce_pair(f, g, n), n
+
+
+@pytest.mark.parametrize("f, g", [
+    ("y - x^2", "(y - x^2)(1 + x^40)"),  # g a multiple of f once cut
+    ("x (y^2 - x^3)", "x (y + x^40)"),  # the axis x divides both
+])
+@pytest.mark.parametrize("p", [0, 3])
+def test_reduce_pair_on_a_cut_common_branch(f, g, p):
+    # a round that cut a term proves nothing about a shared branch: None at
+    # n = 32, infinity at n = 64 where nothing is cut
+    f, g = _f(f, p), _f(g, p)
+    for n, want in ((32, None), (64, INF)):
+        assert _reduce_pair(f, g, n) == dict_reduce_pair(f, g, n) == want
+
+
+def _timed_mu(text, p):
+    f = parse_poly(text, field_ctx(p))
+    start = time.process_time()
+    mu = local_intersection(*partials(f)).value
+    return mu, time.process_time() - start
+
+
+@pytest.mark.parametrize("text, p, mu", [
+    ("x y^19 + 2x^4y^13 + x^6y^3 + x^18y^2 + 2x^19 + 2x^19y", 3, 360),
+    ("23098xy^29 + 14656x^3y^20 + 5637x^6y^9 + 18756x^14y^11"
+     " + 2417x^22y^3 + 11628x^28", 32003, 385),
+], ids=["GF(3)", "GF(32003)"])
+def test_dense_reduction_is_fast(text, p, mu):
+    # the reduction on dicts took 20-35 s on these; their last round has
+    # about 130,000 terms per polynomial at n = 512
+    got, secs = _timed_mu(text, p)
+    assert got == mu
+    assert secs < 3
 
 
 def test_milnor_cusp_over_q():

@@ -345,6 +345,21 @@ def _timed_reduced_check(f):
     return out, time.process_time() - start
 
 
+def test_reduced_check_of_int_coefficients_over_q_is_fast():
+    # plain ints are accepted over Q; inv once turned them into floats and
+    # sent the gcd on this germ into float arithmetic for minutes
+    rng = random.Random(22)
+    terms = {}
+    while len(terms) < 8:
+        i = rng.randint(0, 10)
+        j = rng.randint(1 if i == 0 else 0, 10 - i)
+        terms[(i, j)] = rng.randint(-9, 9) or 1
+    f = BiPoly(QQ, terms)
+    out, secs = _timed_reduced_check(f)
+    assert out == reduced_check(parse_poly(poly_str(f), QQ))
+    assert secs < 0.5
+
+
 @pytest.mark.parametrize("deg", [4, 8, 12, 16])
 def test_squared_cusp_times_g_is_fast(deg):
     # the PRS-based check took up to 0.35 s on these, growing with deg g
