@@ -4,18 +4,25 @@ non-degeneracy tests, polar curves, and the equality checker mu = 1 - M.
 The local intersection routine is a characteristic-free reduction: strip
 monomial factors (each x costs the y-order of the partner and vice versa),
 then cancel leading terms of the restrictions to y = 0 until a variable
-splits off.  Each round is cut at total degree n and gives up once its
-count reaches n, and n doubles until a round certifies; only past the
-Bezout bound does one exact gcd tell infinity (a shared branch) from a
-fault.
+splits off.  A round at precision n spends a budget: with acc collected
+so far, every step is cut at total degree n - acc, and the rows are
+clipped to that cut whenever acc grows.  A round that cut anything
+certifies its value A iff A < n:
+
+  if the pair J right after a drop has colength v, then m^v lies in J;
+  so a drop of terms in m^c with c > v lies in m J and, by Nakayama,
+  leaves the ideal unchanged; the drop at acc_t has c = n - acc_t and
+  v = A - acc_t, so every drop is harmless iff A < n.
+
+n doubles until a round certifies; only past the Bezout bound does one
+exact gcd tell infinity (a shared branch) from a fault.
 
 A round holds each polynomial as dense y-rows: row j lists the
-x-coefficients of y^j and is at most n - j long, so the cut is each row's
-length.  A step g_j -= q(x) f_j runs over all rows in one context kernel,
-FieldCtx.sub_mul_rows; over F_p it packs q once and each f_j into a big
-int and does one product per row (Kronecker substitution), elsewhere it
-walks the nonzero entries of f_j.  A step is cut when some product term
-lands at total degree >= n, that is deg q + deg f_j + j >= n.
+x-coefficients of y^j and is at most n - acc - j long, so the cut is each
+row's length.  A step g_j -= q(x) f_j runs over all rows in one context
+kernel, FieldCtx.sub_mul_rows; over F_p it packs q once and each f_j into
+a big int and does one product per row (Kronecker substitution),
+elsewhere it walks the nonzero entries of f_j.
 """
 
 from .errors import InternalError, TruncationUnstable
@@ -52,40 +59,44 @@ def _sub_mul_clip(ctx, g, f, q, n):
     return _rows_trim(g), dropped
 
 
+def _clip_rows(ctx, rows, c):
+    """Rows cut at total degree c (row j at most c - j long), and whether
+    a term fell."""
+    fell = len(rows) > c
+    rows = rows[:c]
+    for j, r in enumerate(rows):
+        if len(r) > c - j:
+            rows[j], fell = uni_trim(ctx, r[:c - j]), True
+    return _rows_trim(rows), fell
+
+
 def _is_unit(ctx, rows):
     """The polynomial of these rows does not vanish at the origin."""
     return bool(rows[0]) and not ctx.is_zero(rows[0][0])
 
 
 def _reduce_pair(f, g, n):
-    """One reduction round with every intermediate cut at total degree n.
+    """One reduction round at precision n: the value, INF or None.
 
-    Terms of degree >= n perturb the pair without changing the value as
-    long as the value still to be collected stays under n, so the result
-    is certified when (value - acc at the first cut) < n.  Returns None
-    when that fails and the caller should double n.  A common-branch
-    signal (an axis dividing both, or one argument a multiple of the
-    other) is a certified infinity in a run that never cut anything.
-    The round runs on y-rows: row j holds the x-coefficients of y^j and
-    is at most n - j long.
+    With acc collected so far, each step is cut at total degree n - acc
+    and both row sets are clipped to that cut whenever acc grows.  A drop
+    at acc_t lies in m^(n - acc_t) while the pair after it has colength
+    value - acc_t, so by the module's Nakayama argument a round that cut
+    anything is certified iff its value is < n; it gives up (None, the
+    caller doubles n) once acc reaches n.  A common-branch signal (an axis
+    dividing both, or one argument a multiple of the other) is a certified
+    infinity only in a round that never cut anything.  Row j of a y-row
+    set holds the x-coefficients of y^j and is at most n - acc - j long.
     """
     ctx = f.ctx
     acc = 0
-    base = None  # acc when truncation first bit, None while the run is exact
+    width = n  # the cut the rows are clipped to
     f, fc = _to_yrows(f, n)
     g, gc = _to_yrows(g, n)
-    if fc or gc:
-        base = 0
+    cut = fc or gc  # some term fell: no INF, and the value must stay < n
     if not f or not g:
         return None
     while True:
-        # keeps infinite pairs from spinning: acc <= value in exact runs,
-        # so a finite value still certifies once n outgrows it; clipped
-        # runs live until the certificate itself is dead
-        if acc >= n and (base is None or acc - base >= n):
-            return None
-        if _is_unit(ctx, f) or _is_unit(ctx, g):
-            return acc if base is None or acc - base < n else None
         for first in (True, False):
             h = f if first else g
             other = g if first else f
@@ -104,7 +115,7 @@ def _reduce_pair(f, g, n):
                     if o is None:
                         # an axis divides both: proof of a common branch
                         # when nothing was cut, inconclusive otherwise
-                        return INF if base is None else None
+                        return None if cut else INF
                     acc += mult * o
                 h = [r[a:] for r in h[b:]]
                 if first:
@@ -112,17 +123,30 @@ def _reduce_pair(f, g, n):
                 else:
                     g = h
         if _is_unit(ctx, f) or _is_unit(ctx, g):
-            return acc if base is None or acc - base < n else None
+            return acc if not cut or acc < n else None
+        # an exact run has acc <= value, so a finite value still certifies
+        # once n outgrows it; a cut run's certificate is dead
+        if acc >= n:
+            return None
+        if n - acc < width:
+            width = n - acc
+            f, fc = _clip_rows(ctx, f, width)
+            g, gc = _clip_rows(ctx, g, width)
+            if fc or gc:
+                cut = True
+                if not f or not g:
+                    return None
+                # the clip may have left an axis factor to strip
+                continue
         if len(f[0]) > len(g[0]):
             f, g = g, f
         # cancel g's whole y=0 restriction down to a remainder in one pass
         q, _ = uni_divmod(ctx, g[0], f[0])
-        g, dropped = _sub_mul_clip(ctx, g, f, q, n)
-        if dropped and base is None:
-            base = acc
+        g, dropped = _sub_mul_clip(ctx, g, f, q, width)
+        cut = cut or dropped
         if not g:
             # g was a multiple of f: a common branch in the exact run
-            return INF if base is None else None
+            return None if cut else INF
 
 
 _REDUCE_START = 32

@@ -529,9 +529,11 @@ def gcd_prs(f, g):
 
 # ---------------------------------------------------------------------------
 # one round of the Milnor reduction on BiPoly dicts, term by term through
-# mul_into (checked against full_product in test_poly): the reference for
-# the library's round on y-rows (milnor._reduce_pair), with the same
-# rounds, cut flag and certificate.
+# mul_into (checked against full_product in test_poly): dict_reduce_pair is
+# the reference for the library's round on y-rows (milnor._reduce_pair),
+# with the same rounds, budget cut, clips and certificate; the earlier
+# fixed-cut round, dict_reduce_pair_fixed_cut, is the reference for the
+# values that local_intersection returns.
 
 
 def _subs_y0(f):
@@ -555,9 +557,89 @@ def dict_sub_mul_clip(g, f, q, n):
     return r, dropped
 
 
-def dict_reduce_pair(f, g, n):
-    """One reduction round cut at total degree n: the value, INF or None."""
+def _dict_strip(f, g):
+    """f and g without their monomial factors, and what that adds to the
+    value; None when an axis divides both."""
     ctx = f.ctx
+    gained = 0
+    for first in (True, False):
+        h = f if first else g
+        other = g if first else f
+        a, b = h.x_mult(), h.y_mult()
+        if a or b:
+            for mult, rest in ((a, other.subs_x0()), (b, _subs_y0(other))):
+                if not mult:
+                    continue
+                o = uni_order(ctx, rest)
+                if o is None:
+                    return None
+                gained += mult * o
+            h = _div_monomial(h, a, b)
+            if first:
+                f = h
+            else:
+                g = h
+    return f, g, gained
+
+
+def _dict_step(f, g, width):
+    """Cancel the y = 0 restriction of the longer one down to a remainder,
+    cut at total degree width: the new pair and whether a term fell."""
+    ctx = f.ctx
+    fr, gr = _subs_y0(f), _subs_y0(g)
+    if len(fr) > len(gr):
+        f, g, fr, gr = g, f, gr, fr
+    q, _ = uni_divmod(ctx, gr, fr)
+    g, dropped = dict_sub_mul_clip(g, f, q, width)
+    return f, g, dropped
+
+
+def _is_unit_pair(f, g):
+    return not vanishes_at_origin(f) or not vanishes_at_origin(g)
+
+
+def dict_reduce_pair(f, g, n):
+    """One reduction round at precision n: each step cut at total degree
+    n - acc, both polynomials clipped to that cut whenever acc grows, and a
+    round that cut anything certified iff its value is < n.  The value,
+    INF or None."""
+    acc = 0
+    width = n
+    f, fc = clip_total(f, n)
+    g, gc = clip_total(g, n)
+    cut = fc or gc
+    if f.is_zero() or g.is_zero():
+        return None
+    while True:
+        if _is_unit_pair(f, g):
+            return acc if not cut or acc < n else None
+        stripped = _dict_strip(f, g)
+        if stripped is None:
+            return None if cut else INF
+        f, g, gained = stripped
+        acc += gained
+        if _is_unit_pair(f, g):
+            return acc if not cut or acc < n else None
+        if acc >= n:
+            return None
+        if n - acc < width:
+            width = n - acc
+            f, fc = clip_total(f, width)
+            g, gc = clip_total(g, width)
+            if fc or gc:
+                cut = True
+                if f.is_zero() or g.is_zero():
+                    return None
+                continue
+        f, g, dropped = _dict_step(f, g, width)
+        cut = cut or dropped
+        if g.is_zero():
+            return None if cut else INF
+
+
+def dict_reduce_pair_fixed_cut(f, g, n):
+    """One reduction round with every step cut at total degree n, certified
+    when (value - acc at the first cut) < n: the value, INF or None."""
     acc = 0
     base = None  # acc when truncation first bit, None while the run is exact
     f, fc = clip_total(f, n)
@@ -569,34 +651,35 @@ def dict_reduce_pair(f, g, n):
     while True:
         if acc >= n and (base is None or acc - base >= n):
             return None
-        if not vanishes_at_origin(f) or not vanishes_at_origin(g):
+        if _is_unit_pair(f, g):
             return acc if base is None or acc - base < n else None
-        for first in (True, False):
-            h = f if first else g
-            other = g if first else f
-            a, b = h.x_mult(), h.y_mult()
-            if a or b:
-                for mult, rest in ((a, other.subs_x0()), (b, _subs_y0(other))):
-                    if not mult:
-                        continue
-                    o = uni_order(ctx, rest)
-                    if o is None:
-                        return INF if base is None else None
-                    acc += mult * o
-                h = _div_monomial(h, a, b)
-                if first:
-                    f = h
-                else:
-                    g = h
-        if not vanishes_at_origin(f) or not vanishes_at_origin(g):
+        stripped = _dict_strip(f, g)
+        if stripped is None:
+            return INF if base is None else None
+        f, g, gained = stripped
+        acc += gained
+        if _is_unit_pair(f, g):
             return acc if base is None or acc - base < n else None
-        fr = _subs_y0(f)
-        gr = _subs_y0(g)
-        if len(fr) > len(gr):
-            f, g, fr, gr = g, f, gr, fr
-        q, _ = uni_divmod(ctx, gr, fr)
-        g, dropped = dict_sub_mul_clip(g, f, q, n)
+        f, g, dropped = _dict_step(f, g, n)
         if dropped and base is None:
             base = acc
         if g.is_zero():
             return INF if base is None else None
+
+
+def reference_intersection(f, g):
+    """Intersection multiplicity at the origin as local_intersection found
+    it before the budget: fixed-cut rounds at n = 32, 64, ... until one
+    certifies, and past the Bezout bound the PRS gcd tells infinity."""
+    if not vanishes_at_origin(f) or not vanishes_at_origin(g):
+        return 0
+    if f.is_zero() or g.is_zero():
+        return INF
+    bound = max(i + j for i, j in f.c) * max(i + j for i, j in g.c)
+    n = 32
+    while (v := dict_reduce_pair_fixed_cut(f, g, n)) is None:
+        if n > bound:
+            assert vanishes_at_origin(gcd_prs(f, g)), "no round certified"
+            return INF
+        n *= 2
+    return v

@@ -20,7 +20,8 @@ from singcurve.newton import newton_polygon
 from singcurve.poly import BiPoly, mul_unit_truncated, parse_poly, partials
 
 from curves import EX1, EX2, four_lines
-from oracles import dict_reduce_pair, small_elem
+from oracles import dict_reduce_pair, dict_reduce_pair_fixed_cut, \
+    reference_intersection, small_elem
 
 QQ = field_ctx(0)
 
@@ -127,13 +128,12 @@ def _from_germ(ctx, germ):
                                                   (b, 0): ctx.one})
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(REDUCE_CTXS), _germ, _germ, _factor,
-       st.sampled_from(("pair", "shared", "partials", "unit")))
-def test_reduce_pair_matches_the_dict_oracle(ctx, fg, gg, ht, shape):
-    # the row round against the same round on dicts, term by term, at the
-    # first precisions; pairs with a common factor h, the partials of a
-    # germ, and pairs where f does not vanish at the origin
+_SHAPES = st.sampled_from(("pair", "shared", "partials", "unit"))
+
+
+def _shaped_pair(ctx, fg, gg, ht, shape):
+    """Pairs with a common factor h, the partials of a germ, and pairs
+    where f does not vanish at the origin."""
     f, g, h = _from_germ(ctx, fg), _from_germ(ctx, gg), _from_terms(ctx, ht)
     if shape == "shared":
         f, g = f * h, g * h
@@ -141,15 +141,37 @@ def test_reduce_pair_matches_the_dict_oracle(ctx, fg, gg, ht, shape):
         f, g = partials(f)
     elif shape == "unit":
         f = f + BiPoly.const(ctx, ctx.one)
-    # a cut round on a shared branch runs until its certificate dies: past
-    # n = 32 that takes up to minutes over F_{7^2} and Q, on rows and dicts
-    for n in (32,) if shape == "shared" else (32, 64, 128):
+    return f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(REDUCE_CTXS), _germ, _germ, _factor, _SHAPES)
+def test_reduce_pair_matches_the_dict_oracle(ctx, fg, gg, ht, shape):
+    # the row round against the same round on dicts, term by term, at the
+    # first precisions; a cut round on a shared branch stops once its
+    # budget is spent, but past n = 64 that still takes seconds
+    f, g = _shaped_pair(ctx, fg, gg, ht, shape)
+    for n in (32, 64) if shape == "shared" else (32, 64, 128):
         assert _reduce_pair(f, g, n) == dict_reduce_pair(f, g, n), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(REDUCE_CTXS), _germ, _germ, _factor,
+       st.sampled_from(("pair", "partials", "unit")))
+def test_local_intersection_matches_the_fixed_cut_reference(ctx, fg, gg, ht,
+                                                            shape):
+    # budgeted rounds certify later than fixed-cut ones, never differently;
+    # no shared shape: on a common branch both run their rounds up to the
+    # Bezout bound, which takes up to minutes over F_{7^2} and Q
+    f, g = _shaped_pair(ctx, fg, gg, ht, shape)
+    assert local_intersection(f, g).value == reference_intersection(f, g)
 
 
 @pytest.mark.parametrize("f, g", [
     ("y - x^2", "(y - x^2)(1 + x^40)"),  # g a multiple of f once cut
     ("x (y^2 - x^3)", "x (y + x^40)"),  # the axis x divides both
+    # after y leaves f, acc = 16 and x^16 in g is at the cut n - acc
+    ("y (y - x^2)", "(y - x^2)(y + x^14)"),
 ])
 @pytest.mark.parametrize("p", [0, 3])
 def test_reduce_pair_on_a_cut_common_branch(f, g, p):
@@ -158,6 +180,56 @@ def test_reduce_pair_on_a_cut_common_branch(f, g, p):
     f, g = _f(f, p), _f(g, p)
     for n, want in ((32, None), (64, INF)):
         assert _reduce_pair(f, g, n) == dict_reduce_pair(f, g, n) == want
+
+
+def test_reduce_pair_clips_the_rows_to_the_budget():
+    # at n = 32 the budget n - acc falls to 5 and then 4, and each clip
+    # drops terms of the rows that the steps cut at the older budget; the
+    # value 29 < 32 still certifies
+    f, g = _f("y^4 + x^5 + x^2y^2", 2), _f("y^7 + x^7", 2)
+    for n in (32, 64):
+        assert _reduce_pair(f, g, n) == dict_reduce_pair(f, g, n) == 29
+
+
+def test_reduce_pair_trims_zero_tuples_after_a_clip():
+    # over F_{2^3} a clipped row can end in the zero (0, 0, 0), which is
+    # truthy: only ctx.is_zero tells it, and an untrimmed row later divides
+    # by it
+    ctx = field_ctx(2, 3)
+    f = parse_poly("(g+1)x^8y^8 + x^8 + x^6y^9 + (g+1)xy^2 + y^12", ctx)
+    g = parse_poly("x^10 + y^10", ctx)
+    assert _reduce_pair(f, g, 32) == dict_reduce_pair(f, g, 32) == 30
+
+
+def test_a_cut_round_never_returns_its_precision():
+    # the partials of EX1 times a unit at p = 3, truncated as milnor_number
+    # truncates them, have i = 157: the fixed cut certified it at n = 128,
+    # the budget waits for n = 256
+    ctx = field_ctx(3)
+    f = mul_unit_truncated(parse_poly(EX1, ctx),
+                           parse_poly("1 + x + y + x y", ctx), 316)
+    fx, fy = partials(f)
+    assert dict_reduce_pair_fixed_cut(fx, fy, 128) == 157
+    for n, want in ((128, None), (256, 157)):
+        assert _reduce_pair(fx, fy, n) == dict_reduce_pair(fx, fy, n) == want
+    # over F_2 these partials have i = 34; the fixed cut's certificate,
+    # (value - acc at the first cut) < n, would pass 41 at n = 32 on the
+    # budgeted round
+    fx, fy = partials(_f("y^5 + x^2 + x^5y^2 + x^9y", 2))
+    for n, want in ((32, None), (64, 34)):
+        assert _reduce_pair(fx, fy, n) == dict_reduce_pair(fx, fy, n) == want
+
+
+def test_a_cut_round_on_a_shared_branch_stops_early():
+    # over F_{7^2}, a pair with the common factor h: the round at n = 64
+    # took 3.7 s when it ran until acc - (acc at the first cut) reached n
+    ctx = field_ctx(7, 2)
+    h = parse_poly("-3x - 3x^2 + (-3+3g)y", ctx)
+    f = parse_poly("y^11 + x^11 + (2+2g)x^5y", ctx) * h
+    g = parse_poly("y^5 + x^10 + x^3y^2", ctx) * h
+    start = time.process_time()
+    assert _reduce_pair(f, g, 64) is None
+    assert time.process_time() - start < 1
 
 
 def _timed_mu(text, p):
