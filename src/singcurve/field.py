@@ -5,7 +5,10 @@ length-k tuple of ints (coefficients of the generator g, constant term first);
 a rational is a fractions.Fraction.  A FieldCtx interprets these values and
 carries all arithmetic.  Univariate polynomials are little-endian coefficient
 lists with no trailing zeros ([] is the zero polynomial), handled by the
-uni_* functions, which all take the context as first argument.
+uni_* functions, which all take the context as first argument.  The two
+context kernels, sub_mul_rows (the Milnor reduction's step) and mul_series
+(the truncated series product), are big-int products over F_p, and
+mul_series is one over Q as well.
 """
 
 import math
@@ -100,6 +103,29 @@ def _unpack_slots(data, w, size, m):
     return struct.unpack(f"<{m}{_STRUCT_CODES[size]}", buf)
 
 
+def _trim_series(a, n):
+    """The first n entries of a without trailing zeros, for contexts whose
+    only zero element is falsy."""
+    k = min(len(a), n)
+    while k and not a[k - 1]:
+        k -= 1
+    return a[:k]
+
+
+def _integral(row):
+    """(ints, d) with ints = d*row, d the lcm of row's denominators."""
+    d = math.lcm(*[c.denominator for c in row])
+    return [c.numerator * (d // c.denominator) for c in row], d
+
+
+def _pack_signed(row, w, size):
+    """_pack_slots for ints of either sign, each below 2^(8w - 1) in
+    absolute value: the packed positive part minus the packed negative
+    part."""
+    return (_pack_slots([max(c, 0) for c in row], w, size)
+            - _pack_slots([max(-c, 0) for c in row], w, size))
+
+
 class FieldCtx:
     """Base arithmetic context; subclasses fix the element representation."""
 
@@ -164,6 +190,26 @@ class FieldCtx:
                                      for v in row])
         return out, cut
 
+    def mul_series(self, a, b, n):
+        """a*b mod t^n as a list of exactly n entries.
+
+        a and b are truncated series, little-endian coefficient lists of
+        any length that may end in zeros; neither is changed.  This default
+        is the schoolbook loop over the nonzero entries.
+        """
+        out = [self.zero] * n
+        add, mul, is_zero = self.add, self.mul, self.is_zero
+        nz = [(j, bj) for j, bj in enumerate(b[:n]) if not is_zero(bj)]
+        for i, ai in enumerate(a[:n]):
+            if is_zero(ai):
+                continue
+            lim = n - i
+            for j, bj in nz:
+                if j >= lim:
+                    break
+                out[i + j] = add(out[i + j], mul(ai, bj))
+        return out
+
     def __eq__(self, other):
         return (type(self) is type(other)
                 and self.characteristic == other.characteristic
@@ -210,6 +256,37 @@ class RationalCtx(FieldCtx):
         if a == 0:
             raise DivisionByZero("inverse of 0")
         return 1 / Fraction(a)
+
+    def mul_series(self, a, b, n):
+        """FieldCtx.mul_series as one big-int product.
+
+        Each argument is scaled to integers over the lcm of its
+        denominators, and its positive and negative parts are packed apart
+        with one w-byte slot per coefficient and subtracted.  w is wide
+        enough that 2^(8w - 1) exceeds max|a_i| max|b_j| min(len a, len b),
+        which bounds every coefficient of the product, so the product
+        holds them in signed slots.  Adding 2^(8w - 1) to each slot that is
+        kept makes them all nonnegative, so they unpack without carries;
+        the offset is taken off again.  Entries may be Fractions or ints.
+        """
+        same = a is b
+        a, b = _trim_series(a, n), _trim_series(b, n)
+        if not a or not b:
+            return [self.zero] * n
+        (ia, da), (ib, db) = _integral(a), _integral(b)
+        w = (max(map(abs, ia)) * max(map(abs, ib))
+             * min(len(a), len(b))).bit_length() // 8 + 1
+        size = _slot_size(w)
+        m = min(len(a) + len(b) - 1, n)
+        half, kept = 1 << (8 * w - 1), (1 << (8 * w * m)) - 1
+        # half in each of the m kept slots
+        offset = half * (kept // ((1 << (8 * w)) - 1))
+        ai = _pack_signed(ia, w, size)
+        bi = ai if same else _pack_signed(ib, w, size)
+        data = ((ai * bi + offset) & kept).to_bytes(m * w, "little")
+        d = da * db
+        out = [Fraction(c - half, d) for c in _unpack_slots(data, w, size, m)]
+        return out + [self.zero] * (n - m)
 
     def rand_elem(self, rng):
         return Fraction(rng.randint(-9, 9))
@@ -303,6 +380,28 @@ class PrimeFieldCtx(FieldCtx):
                 row.pop()
             out[j] = row
         return out, cut
+
+    def mul_series(self, a, b, n):
+        """FieldCtx.mul_series as one big-int product.
+
+        a and b are packed into ints with one w-byte slot per coefficient,
+        w wide enough for (p - 1)^2 min(len a, len b), which bounds every
+        coefficient of a*b; the product's slots are then its coefficients
+        (Kronecker substitution, Harvey 2009).  Every entry must be an int
+        in [0, p): a negative one cannot be packed and a larger one can
+        carry into the next slot.
+        """
+        p, same = self.p, a is b
+        a, b = _trim_series(a, n), _trim_series(b, n)
+        if not a or not b:
+            return [0] * n
+        w = ((p - 1) ** 2 * min(len(a), len(b))).bit_length() // 8 + 1
+        size = _slot_size(w)
+        m = min(len(a) + len(b) - 1, n)
+        ai = _pack_slots(a, w, size)
+        bi = ai if same else _pack_slots(b, w, size)
+        data = (ai * bi).to_bytes((len(a) + len(b) - 1) * w, "little")
+        return [c % p for c in _unpack_slots(data, w, size, m)] + [0] * (n - m)
 
     def to_str(self, a):
         return str(a % self.p)

@@ -245,18 +245,7 @@ def _ser_zero(ctx, n):
 
 
 def _ser_mul(ctx, a, b, n):
-    out = [ctx.zero] * n
-    add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-    nz = [(j, bj) for j, bj in enumerate(b[:n]) if not is_zero(bj)]
-    for i, ai in enumerate(a[:n]):
-        if is_zero(ai):
-            continue
-        lim = n - i
-        for j, bj in nz:
-            if j >= lim:
-                break
-            out[i + j] = add(out[i + j], mul(ai, bj))
-    return out
+    return ctx.mul_series(a, b, n)
 
 
 def _ser_addto(ctx, acc, b):

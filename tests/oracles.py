@@ -195,14 +195,17 @@ def multiplicity_sum_check(tree):
 # full and cut afterwards, so the truncated chart maps are checked too.
 
 
-def _ref_mul(ctx, a, b, n):
-    out = [ctx.zero] * n
-    for i, ai in enumerate(a[:n]):
-        if ctx.is_zero(ai):
-            continue
-        for j in range(min(n - i, len(b))):
-            if not ctx.is_zero(b[j]):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(ai, b[j]))
+def series_product(ctx, a, b, n):
+    """a*b mod t^n, coefficient k the direct sum of a_i b_(k - i) over
+    the nonzero pairs."""
+    nza, nzb = ([not ctx.is_zero(c) for c in s] for s in (a, b))
+    out = []
+    for k in range(n):
+        acc = ctx.zero
+        for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))):
+            if nza[i] and nzb[k - i]:
+                acc = ctx.add(acc, ctx.mul(a[i], b[k - i]))
+        out.append(acc)
     return out
 
 
@@ -212,10 +215,10 @@ def _ref_pow(ctx, a, e, n):
     base = a
     while e:
         if e & 1:
-            out = _ref_mul(ctx, out, base, n)
+            out = series_product(ctx, out, base, n)
         e >>= 1
         if e:
-            base = _ref_mul(ctx, base, base, n)
+            base = series_product(ctx, base, base, n)
     return out
 
 
@@ -236,11 +239,11 @@ def _ref_eval_row(ctx, cols, phi, n):
     prev = None
     for i in sorted(cols, reverse=True):
         if prev is not None:
-            acc = _ref_mul(ctx, acc, _ref_pow(ctx, phi, prev - i, n), n)
+            acc = series_product(ctx, acc, _ref_pow(ctx, phi, prev - i, n), n)
         acc[0] = ctx.add(acc[0], cols[i])
         prev = i
     if prev:
-        acc = _ref_mul(ctx, acc, _ref_pow(ctx, phi, prev, n), n)
+        acc = series_product(ctx, acc, _ref_pow(ctx, phi, prev, n), n)
     return acc
 
 
@@ -256,12 +259,12 @@ def horner_eval(g, phi, psi, n):
     prev = None
     for j in sorted(rows, reverse=True):
         if prev is not None:
-            acc = _ref_mul(ctx, acc, _ref_pow(ctx, psi, prev - j, n), n)
+            acc = series_product(ctx, acc, _ref_pow(ctx, psi, prev - j, n), n)
         row = _ref_eval_row(ctx, rows[j], phi, n)
         acc = [ctx.add(a, b) for a, b in zip(acc, row)]
         prev = j
     if prev:
-        acc = _ref_mul(ctx, acc, _ref_pow(ctx, psi, prev, n), n)
+        acc = series_product(ctx, acc, _ref_pow(ctx, psi, prev, n), n)
     return acc
 
 
@@ -287,7 +290,7 @@ def newton_solve(w, n):
         cur = s[:prec]
         val = horner_eval(w, ident, cur, prec)
         der = horner_eval(wy, ident, cur, prec)
-        corr = _ref_mul(ctx, val, _ref_inv(ctx, der, prec), prec)
+        corr = series_product(ctx, val, _ref_inv(ctx, der, prec), prec)
         for k in range(prec):
             s[k] = ctx.sub(cur[k], corr[k])
     return s
@@ -314,9 +317,9 @@ def reference_parametrization(f, n):
         shift = list(psi)
         shift[0] = ctx.add(shift[0], m.mu_bar)
         phi, psi = (
-            _ref_mul(ctx, _ref_pow(ctx, phi, m.p, n),
+            series_product(ctx, _ref_pow(ctx, phi, m.p, n),
                      _ref_pow(ctx, shift, m.A, n), n),
-            _ref_mul(ctx, _ref_pow(ctx, phi, m.q, n),
+            series_product(ctx, _ref_pow(ctx, phi, m.q, n),
                      _ref_pow(ctx, shift, m.B, n), n))
     return phi, psi
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singcurve.errors import (Char0IrreducibleRemainder, DivisionByZero,
@@ -17,7 +17,8 @@ from singcurve.field import (PRIME_TEST_LIMIT, ExtFieldCtx, FieldCtx,
                              uni_trim)
 from singcurve.poly import BiPoly, _rows_trim, _to_yrows, clip_total
 
-from oracles import brute_roots, full_product, small_elem, sympy_factor_fp
+from oracles import (brute_roots, full_product, series_product, small_elem,
+                     sympy_factor_fp)
 
 CTXS = [
     field_ctx(2), field_ctx(3), field_ctx(5), field_ctx(13),
@@ -129,6 +130,45 @@ def test_packed_sub_mul_rows_at_full_slots(p, n):
     f = BiPoly(ctx, {(i, j): top for j in range(4) for i in range(70)})
     g = BiPoly(ctx, {(i, j): top for j in range(6) for i in range(0, 90, 3)})
     _check_sub_mul_rows(PrimeFieldCtx.sub_mul_rows, ctx, f, g, [top] * 70, n)
+
+
+SERIES_CTXS = KERNEL_CTXS + [field_ctx(3)]
+_big = st.integers(-10 ** 30, 10 ** 30)
+
+
+def _series_entries(ctx):
+    if ctx.characteristic == 0:
+        # Fractions with up to 30-digit parts, and plain ints
+        return st.one_of(st.just(0), st.integers(-9, 9), _big,
+                         st.builds(Fraction, _big, st.integers(1, 10 ** 30)))
+    if ctx.ext_degree > 1:
+        return st.tuples(*[st.integers(0, ctx.p - 1)] * ctx.ext_degree)
+    return st.one_of(st.just(0), st.just(ctx.p - 1),
+                     st.integers(0, ctx.p - 1))
+
+
+def _series_case(ctx):
+    entries = st.lists(_series_entries(ctx), max_size=60)
+    return st.tuples(st.just(ctx), entries, entries, st.integers(0, 48))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SERIES_CTXS).flatmap(_series_case), st.booleans())
+# every entry at its largest: the middle coefficients reach the slot bound
+@example((field_ctx(BIG_P), [BIG_P - 1] * 80, [BIG_P - 1] * 70, 200), False)
+@example((field_ctx(32003), [32002] * 300, [32002] * 300, 600), False)
+@example((field_ctx(0), [-10 ** 30] * 90, [10 ** 30] * 90, 179), False)
+@example((field_ctx(0), [Fraction(-1, 3)] * 50, [Fraction(-2, 7)] * 50, 30),
+         False)
+def test_mul_series_matches_the_naive_product(case, generic):
+    ctx, a, b, n = case
+    before = list(a), list(b)
+    kernel = FieldCtx.mul_series if generic else type(ctx).mul_series
+    got = kernel(ctx, a, b, n)
+    assert (a, b) == before
+    assert len(got) == n
+    assert got == series_product(ctx, a, b, n)
+    assert kernel(ctx, a, a, n) == series_product(ctx, a, a, n)
 
 
 @given(st.integers(min_value=-2, max_value=200))

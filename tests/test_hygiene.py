@@ -76,3 +76,36 @@ def test_bench_tracer_patches_every_target():
             assert tr.unpatched() == [], probe.__name__
     assert poly.BiPoly.__dict__["__mul__"] is mul
     assert milnor._sub_mul_clip is clip
+
+
+class _AttributeUses(ast.NodeVisitor):
+    """The functions, by name, whose bodies read a given attribute; None
+    for a read outside every function."""
+
+    def __init__(self, attr):
+        self.attr, self.stack, self.found = attr, [], set()
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_Attribute(self, node):
+        if node.attr == self.attr:
+            self.found.add(self.stack[-1] if self.stack else None)
+        self.generic_visit(node)
+
+
+def _attribute_uses(attr):
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        uses = _AttributeUses(attr)
+        uses.visit(ast.parse(path.read_text(), filename=str(path)))
+        out |= {(path.name, fn) for fn in uses.found}
+    return out
+
+
+def test_series_products_go_through_ser_mul():
+    # the bench's invariants.ser_mul counters wrap _ser_mul, so a direct
+    # call of the kernel anywhere else would hide its products
+    assert _attribute_uses("mul_series") == {("invariants.py", "_ser_mul")}

@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -234,14 +236,48 @@ def test_parametrize_ex1_orders():
 
 
 def test_parametrize_matches_the_reference_series_path():
-    cases = [(parse_poly(EX1, field_ctx(7)), 64), (_q(EX1), 64)]
-    for p, k in [(3, 1), (101, 1), (7, 2), (0, 1)]:
+    # a branch over Q whose series have non-integral coefficients
+    frac = BiPoly(QQ, {(3, 0): Fraction(1, 2), (0, 5): Fraction(-2, 3),
+                       (2, 3): Fraction(5, 7), (1, 5): Fraction(-3, 11),
+                       (4, 1): Fraction(7, 13)})
+    cases = [(parse_poly(EX1, field_ctx(7)), 64), (_q(EX1), 64), (frac, 48)]
+    # over F_(2^31 - 1) the packed series slots are wider than 8 bytes
+    for p, k in [(3, 1), (101, 1), (32003, 1), (2147483647, 1), (7, 2),
+                 (0, 1)]:
         ctx = field_ctx(p, k)
         rng = random.Random(3000 + 10 * p + k)
         cases += [(_rand_branch(ctx, rng), 48) for _ in range(8)]
     for f, n in cases:
         par = parametrize_branch(f, n)
         assert (par.phi, par.psi) == reference_parametrization(f, n), f
+
+
+@pytest.mark.parametrize("p", [3, 101, 32003])
+def test_parametrize_of_unreduced_ints_over_fp(p):
+    # BiPoly keeps any int that is not 0 mod p, but the packed series
+    # product takes ints in [0, p) only; coefficients shifted by multiples
+    # of p (negative; whose products overflow their slots; wider than any
+    # slot) must give the series and the intersection number of the
+    # reduced curves
+    ctx = field_ctx(p)
+    f, g = parse_poly(EX1, ctx), parse_poly("x^3 - y^2 + x y^4", ctx)
+    par, want = parametrize_branch(f, 128), intersect_param(f, g)
+    for shift in (-7, 67, 10 ** 30):
+        fs, gs = (BiPoly(ctx, {k: v + p * shift for k, v in h.c.items()})
+                  for h in (f, g))
+        assert min(fs.c.values()) < 0 or max(fs.c.values()) >= p
+        got = parametrize_branch(fs, 128)
+        assert (got.phi, got.psi) == (par.phi, par.psi)
+        assert intersect_param(fs, gs) == want
+
+
+def test_dense_series_is_fast():
+    # the schoolbook series product took about 4.8 s here
+    f = parse_poly(EX1, field_ctx(32003))
+    start = time.process_time()
+    par = parametrize_branch(f, 512)
+    assert time.process_time() - start < 2
+    assert par.orders() == (12, 8)
 
 
 def _rand_series(ctx, rng, order, n):
