@@ -5,16 +5,30 @@ length-k tuple of ints (coefficients of the generator g, constant term first);
 a rational is a fractions.Fraction.  A FieldCtx interprets these values and
 carries all arithmetic.  Univariate polynomials are little-endian coefficient
 lists with no trailing zeros ([] is the zero polynomial), handled by the
-uni_* functions, which all take the context as first argument.  The two
-context kernels, sub_mul_rows (the Milnor reduction's step) and mul_series
-(the truncated series product), are big-int products over F_p, and
-mul_series is one over Q as well.
+uni_* functions, which all take the context as first argument.
+
+The context kernels sub_mul_rows (the Milnor reduction's step) and
+mul_series (the truncated series product) are written once, in FieldCtx, as
+big-int products (Kronecker substitution, Harvey 2009) over each context's
+codec: _ints turns rows into ints over one denominator and bounds them,
+_elems turns product slots back into elements.  An element is 2k - 1 ints
+(k = 1 over F_p and Q), its k coordinates and k - 1 zeros, so a product of
+two lands in its own 2k - 1 slots.  A product slot then sums at most t
+terms, t the smaller count of nonzero ints of the two rows, and is at most
+  (p - 1)^2 t <= (p - 1)^2 len over F_p,
+  (p - 1)^2 t <= (p - 1)^2 k len per inner slot over F_{p^k},
+  max|a| max|b| t <= max|a| max|b| len over Q, the rows scaled to ints,
+in absolute value, len the shorter row's length.  The signed w-byte slots
+hold that (and in sub_mul_rows the row taken from) and unpack offset by
+half, 2^(8w - 1) rounded down to a multiple of p: nonnegative slots, and
+only _elems over Q has to take the offset off.
 """
 
 import math
 import random
 import struct
 from fractions import Fraction
+from itertools import chain, islice
 
 from .errors import (Char0IrreducibleRemainder, Char0Unsupported,
                      DivisionByZero, InputError, ZeroPolynomial)
@@ -25,7 +39,8 @@ from .errors import (Char0IrreducibleRemainder, Char0Unsupported,
 PRIME_TEST_LIMIT = 3317044064679887385961981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# struct codes of the standard little-endian unsigned sizes in bytes
+# struct codes of the standard little-endian unsigned sizes in bytes; the
+# lower-case codes are the signed ones
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 # rational roots are found among quotients of divisors of the end
@@ -73,57 +88,52 @@ def _prime_divisors(n):
     return out
 
 
-def _slot_size(w):
-    """The struct size that holds a w-byte slot, None past 8 bytes."""
-    return next((s for s in _STRUCT_CODES if s >= w), None)
-
-
-def _pack_slots(row, w, size):
-    """The int with the entries of row, each below 256^w, in consecutive
-    little-endian w-byte slots; size is _slot_size(w)."""
-    if size is None:
-        return int.from_bytes(b"".join([c.to_bytes(w, "little")
-                                        for c in row]), "little")
-    data = struct.pack(f"<{len(row)}{_STRUCT_CODES[size]}", *row)
-    buf = bytearray(w * len(row))
+def _pack_slots(ints, w):
+    """The bytes of ints, each of absolute value below 2^(8w - 1), in
+    consecutive little-endian w-byte two's-complement slots."""
+    size = 1 << (w - 1).bit_length()  # the struct size that holds a slot
+    if size > 8:
+        return b"".join([c.to_bytes(w, "little", signed=True) for c in ints])
+    data = struct.pack(f"<{len(ints)}{_STRUCT_CODES[size].lower()}", *ints)
+    if w == size:
+        return data
+    buf = bytearray(w * len(ints))
     for t in range(w):
         buf[t::w] = data[t::size]
-    return int.from_bytes(buf, "little")
+    return buf
 
 
-def _unpack_slots(data, w, size, m):
-    """The first m little-endian w-byte slots of the bytes data, as ints;
-    size is _slot_size(w)."""
-    if size is None:
+def _slots_int(data, signs):
+    """The int sum c_k 256^(wk) over the w-byte two's-complement slots c_k
+    of the bytes data; signs has the top bit of each of them set."""
+    u = int.from_bytes(data, "little")
+    return u - ((u & signs) << 1)
+
+
+def _unpack_slots(data, w, m):
+    """The first m little-endian w-byte slots of the bytes data, as
+    nonnegative ints."""
+    size = 1 << (w - 1).bit_length()
+    if size > 8:
         return [int.from_bytes(data[k:k + w], "little")
                 for k in range(0, m * w, w)]
+    if w == size:
+        return struct.unpack_from(f"<{m}{_STRUCT_CODES[size]}", data)
     buf = bytearray(size * m)
     for t in range(w):
         buf[t::size] = data[t:m * w:w]
     return struct.unpack(f"<{m}{_STRUCT_CODES[size]}", buf)
 
 
-def _trim_series(a, n):
-    """The first n entries of a without trailing zeros, for contexts whose
-    only zero element is falsy."""
-    k = min(len(a), n)
-    while k and not a[k - 1]:
-        k -= 1
-    return a[:k]
-
-
-def _integral(row):
-    """(ints, d) with ints = d*row, d the lcm of row's denominators."""
-    d = math.lcm(*[c.denominator for c in row])
-    return [c.numerator * (d // c.denominator) for c in row], d
-
-
-def _pack_signed(row, w, size):
-    """_pack_slots for ints of either sign, each below 2^(8w - 1) in
-    absolute value: the packed positive part minus the packed negative
-    part."""
-    return (_pack_slots([max(c, 0) for c in row], w, size)
-            - _pack_slots([max(-c, 0) for c in row], w, size))
+def _slot_plan(bound, char, m):
+    """(w, half, ones) for m w-byte slots that hold ints of absolute value
+    at most bound: the offset half is 2^(8w - 1) rounded down to a multiple
+    of char (of 1 when char is 0), so bound < half and half + bound < 256^w,
+    and ones has a 1 in each slot."""
+    c = char or 1
+    w = (bound + c).bit_length() // 8 + 1
+    return (w, (1 << (8 * w - 1)) // c * c,
+            int.from_bytes((b"\1" + bytes(w - 1)) * m, "little"))
 
 
 class FieldCtx:
@@ -160,55 +170,82 @@ class FieldCtx:
         n - j, and whether some product term fell at or past its cut.
 
         Rows are little-endian coefficient lists in x without trailing
-        zeros, q is one such list, and g may have fewer rows than f; rows
-        past those of f are kept as they are and no argument is changed.
-        This default walks the nonzero entries of each f_j.
+        zeros, q is one such list, row g_j is at most n - j long, and g may
+        have fewer rows than f; rows past those of f are kept as they are
+        and no argument is changed.  With q, f and g as ints over the
+        denominators dq, df and dg, row j is the big int g_j dq df - q f_j dg,
+        whose slots are the new row times dg dq df; all rows are packed, and
+        unpacked, in one go.
         """
-        mul, add, is_zero = self.mul, self.add, self.is_zero
-        neg_q = [(k, self.neg(c)) for k, c in enumerate(q) if not is_zero(c)]
-        dq = len(q) - 1
         out = list(g) + [[] for _ in range(len(f) - len(g))]
-        cut = False
-        for j, fj in enumerate(f):
-            if not fj:
-                continue
-            width = n - j
-            # None marks a zero that no term has reached yet
-            row = [None if is_zero(v) else v for v in out[j]]
-            row += [None] * (min(width, len(fj) + dq) - len(row))
-            for i, c in enumerate(fj):
-                if is_zero(c):
-                    continue
-                if i + dq >= width:
-                    cut = True
-                for k, b in neg_q:
-                    if i + k >= width:
-                        break
-                    v, w = row[i + k], mul(b, c)
-                    row[i + k] = w if v is None else add(v, w)
-            out[j] = uni_trim(self, [self.zero if v is None else v
-                                     for v in row])
+        js = [j for j, fj in enumerate(f) if fj]
+        if not q or not js:
+            return out, False
+        s, lq = 2 * self.ext_degree - 1, len(q)
+        (qi,), dq, tq = self._ints([q])
+        fi, df, tf = self._ints([f[j] for j in js])
+        gi, dg, tg = self._ints([out[j] for j in js])
+        # a slot of q*f_j sums at most as many terms as q has nonzero ints;
+        # q and the f_j are nonzero, so the bound covers their ints too
+        terms = len(qi) - qi.count(0)
+        # every product and every row g_j fits in top slots
+        top = s * max(lq + max(map(len, f)), max(map(len, out)))
+        w, half, ones = _slot_plan(tg * dq * df + tq * tf * terms * dg,
+                                   self.characteristic, top)
+        signs, offset = ones << (8 * w - 1), half * ones
+        qp = _slots_int(_pack_slots(qi, w), signs) * dg
+        fp = _pack_slots(list(chain.from_iterable(fi)), w)
+        gp = _pack_slots(list(chain.from_iterable(gi)), w)
+        cut, kept, widths, fa, ga = False, [], [], 0, 0
+        for j, a, b in zip(js, fi, gi):
+            m = lq + len(f[j]) - 1
+            if m > n - j:
+                cut, m = True, n - j
+            m = max(m, len(out[j]))
+            r = (_slots_int(gp[ga:ga + len(b) * w], signs) * (dq * df)
+                 - qp * _slots_int(fp[fa:fa + len(a) * w], signs))
+            fa, ga = fa + len(a) * w, ga + len(b) * w
+            kept.append((r + offset).to_bytes(top * w, "little")[:m * s * w])
+            widths.append(m)
+        new = iter(self._elems(
+            _unpack_slots(b"".join(kept), w, s * sum(widths)), half,
+            dg * dq * df))
+        zero = self.zero
+        for j, m in zip(js, widths):
+            row = list(islice(new, m))
+            while row and row[-1] == zero:
+                row.pop()
+            out[j] = row
         return out, cut
 
     def mul_series(self, a, b, n):
         """a*b mod t^n as a list of exactly n entries.
 
         a and b are truncated series, little-endian coefficient lists of
-        any length that may end in zeros; neither is changed.  This default
-        is the schoolbook loop over the nonzero entries.
+        any length that may end in zeros; neither is changed.  With a and b
+        as ints over the denominators da and db, one big-int product holds
+        a*b times da db in its slots.
         """
-        out = [self.zero] * n
-        add, mul, is_zero = self.add, self.mul, self.is_zero
-        nz = [(j, bj) for j, bj in enumerate(b[:n]) if not is_zero(bj)]
-        for i, ai in enumerate(a[:n]):
-            if is_zero(ai):
-                continue
-            lim = n - i
-            for j, bj in nz:
-                if j >= lim:
-                    break
-                out[i + j] = add(out[i + j], mul(ai, bj))
-        return out
+        s, same = 2 * self.ext_degree - 1, a is b
+        (ai,), da, ta = self._ints([a[:n]])
+        (bi,), db, tb = ((ai,), da, ta) if same else self._ints([b[:n]])
+        # a slot of a*b sums at most terms terms; the bound covers the ints
+        # of a and b too unless one is zero
+        terms = min(len(ai) - ai.count(0), len(bi) - bi.count(0))
+        if not terms:
+            return [self.zero] * n
+        # the product has fewer than top - s slots
+        top = len(ai) + len(bi) + s
+        w, half, ones = _slot_plan(ta * tb * terms, self.characteristic, top)
+        signs = ones << (8 * w - 1)
+        r = _slots_int(_pack_slots(ai, w), signs)
+        r *= r if same else _slots_int(_pack_slots(bi, w), signs)
+        # |r| >= 256^(wK) / 4 for its top nonzero slot K, so no entry past
+        # the first m is nonzero, and m s < K + s + 2 <= top
+        m = min((r.bit_length() + 1) // (8 * w * s) + 1, n)
+        data = (r + half * ones).to_bytes(top * w, "little")
+        return (self._elems(_unpack_slots(data, w, m * s), half, da * db)
+                + [self.zero] * (n - m))
 
     def __eq__(self, other):
         return (type(self) is type(other)
@@ -257,36 +294,20 @@ class RationalCtx(FieldCtx):
             raise DivisionByZero("inverse of 0")
         return 1 / Fraction(a)
 
-    def mul_series(self, a, b, n):
-        """FieldCtx.mul_series as one big-int product.
+    # the codec of the packed kernels: rows over their common denominator;
+    # entries may be Fractions or ints, and the shared zero, which series
+    # are full of, is passed over without a method call
+    def _ints(self, rows):
+        zero = self.zero
+        d = math.lcm(*[c.denominator for r in rows for c in r
+                       if c is not zero])
+        ints = [[0 if c is zero else c.numerator * (d // c.denominator)
+                 for c in r] for r in rows]
+        return ints, d, max((max(map(abs, r)) for r in ints if r), default=0)
 
-        Each argument is scaled to integers over the lcm of its
-        denominators, and its positive and negative parts are packed apart
-        with one w-byte slot per coefficient and subtracted.  w is wide
-        enough that 2^(8w - 1) exceeds max|a_i| max|b_j| min(len a, len b),
-        which bounds every coefficient of the product, so the product
-        holds them in signed slots.  Adding 2^(8w - 1) to each slot that is
-        kept makes them all nonnegative, so they unpack without carries;
-        the offset is taken off again.  Entries may be Fractions or ints.
-        """
-        same = a is b
-        a, b = _trim_series(a, n), _trim_series(b, n)
-        if not a or not b:
-            return [self.zero] * n
-        (ia, da), (ib, db) = _integral(a), _integral(b)
-        w = (max(map(abs, ia)) * max(map(abs, ib))
-             * min(len(a), len(b))).bit_length() // 8 + 1
-        size = _slot_size(w)
-        m = min(len(a) + len(b) - 1, n)
-        half, kept = 1 << (8 * w - 1), (1 << (8 * w * m)) - 1
-        # half in each of the m kept slots
-        offset = half * (kept // ((1 << (8 * w)) - 1))
-        ai = _pack_signed(ia, w, size)
-        bi = ai if same else _pack_signed(ib, w, size)
-        data = ((ai * bi + offset) & kept).to_bytes(m * w, "little")
-        d = da * db
-        out = [Fraction(c - half, d) for c in _unpack_slots(data, w, size, m)]
-        return out + [self.zero] * (n - m)
+    def _elems(self, slots, half, d):
+        zero = self.zero
+        return [zero if c == half else Fraction(c - half, d) for c in slots]
 
     def rand_elem(self, rng):
         return Fraction(rng.randint(-9, 9))
@@ -348,60 +369,14 @@ class PrimeFieldCtx(FieldCtx):
     def elements(self):
         return range(self.p)
 
-    def sub_mul_rows(self, g, f, q, n):
-        """FieldCtx.sub_mul_rows with one big-int product per row.
+    # the codec of the packed kernels: a row is its own ints, each in
+    # [0, p), and half is a multiple of p
+    def _ints(self, rows):
+        return rows, 1, self.p - 1
 
-        q and each f_j are packed into ints with one w-byte slot per
-        coefficient, w wide enough for (p - 1)^2 len(q), which bounds every
-        coefficient of q*f_j; the product's slots are then its coefficients
-        (Kronecker substitution, Harvey 2009).  Every entry must be an int
-        in [0, p).
-        """
-        p, lq = self.p, len(q)
-        # max: the entries themselves must fit when q is empty
-        w = ((p - 1) ** 2 * max(lq, 1)).bit_length() // 8 + 1
-        size = _slot_size(w)
-        qi = _pack_slots(q, w, size)
-        out = list(g) + [[] for _ in range(len(f) - len(g))]
-        cut = False
-        for j, fj in enumerate(f):
-            if not fj:
-                continue
-            m = lq + len(fj) - 1
-            if m > n - j:
-                cut, m = True, n - j
-            data = (qi * _pack_slots(fj, w, size)).to_bytes(
-                (lq + len(fj) - 1) * w, "little")
-            gj = out[j] + [0] * (m - len(out[j]))
-            row = [(a - c) % p
-                   for a, c in zip(gj, _unpack_slots(data, w, size, m))]
-            row += gj[m:]
-            while row and not row[-1]:
-                row.pop()
-            out[j] = row
-        return out, cut
-
-    def mul_series(self, a, b, n):
-        """FieldCtx.mul_series as one big-int product.
-
-        a and b are packed into ints with one w-byte slot per coefficient,
-        w wide enough for (p - 1)^2 min(len a, len b), which bounds every
-        coefficient of a*b; the product's slots are then its coefficients
-        (Kronecker substitution, Harvey 2009).  Every entry must be an int
-        in [0, p): a negative one cannot be packed and a larger one can
-        carry into the next slot.
-        """
-        p, same = self.p, a is b
-        a, b = _trim_series(a, n), _trim_series(b, n)
-        if not a or not b:
-            return [0] * n
-        w = ((p - 1) ** 2 * min(len(a), len(b))).bit_length() // 8 + 1
-        size = _slot_size(w)
-        m = min(len(a) + len(b) - 1, n)
-        ai = _pack_slots(a, w, size)
-        bi = ai if same else _pack_slots(b, w, size)
-        data = (ai * bi).to_bytes((len(a) + len(b) - 1) * w, "little")
-        return [c % p for c in _unpack_slots(data, w, size, m)] + [0] * (n - m)
+    def _elems(self, slots, half, d):
+        p = self.p
+        return [c % p for c in slots]
 
     def to_str(self, a):
         return str(a % self.p)
@@ -460,19 +435,24 @@ class ExtFieldCtx(FieldCtx):
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
+        prod = [0] * (2 * self.k - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     prod[i + j] += ai * bj
-        for i in range(2 * k - 2, k - 1, -1):
+        return self._fold(prod)
+
+    def _fold(self, prod):
+        """The element with coefficients prod in g, of degree <= 2k - 2:
+        each g^i with i >= k becomes its remainder by the modulus."""
+        p, k = self.p, self.k
+        low = list(prod[:k])
+        for i in range(k, len(prod)):
             c = prod[i] % p
             if c:
-                red = self._red[i - k]
-                for j in range(k):
-                    prod[j] += c * red[j]
-        return tuple(v % p for v in prod[:k])
+                for j, r in enumerate(self._red[i - k]):
+                    low[j] += c * r
+        return tuple(v % p for v in low)
 
     def inv(self, a):
         if all(x == 0 for x in a):
@@ -484,8 +464,19 @@ class ExtFieldCtx(FieldCtx):
         s += [0] * (self.k - len(s))
         return tuple(s[:self.k])
 
-    def is_zero(self, a):
-        return all(x % self.p == 0 for x in a)
+    # the codec of the packed kernels: an element is its k coordinates in
+    # [0, p) and k - 1 zero slots, and half is a multiple of p
+    def _ints(self, rows):
+        s = 2 * self.k - 1
+        out = [[0] * (s * len(row)) for row in rows]
+        for flat, row in zip(out, rows):
+            for i, col in enumerate(zip(*row)):
+                flat[i::s] = col
+        return out, 1, self.p - 1
+
+    def _elems(self, slots, half, d):
+        s, fold = 2 * self.k - 1, self._fold
+        return [fold(slots[i:i + s]) for i in range(0, len(slots), s)]
 
     def rand_elem(self, rng):
         return tuple(rng.randrange(self.p) for _ in range(self.k))

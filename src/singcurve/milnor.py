@@ -20,9 +20,9 @@ exact gcd tell infinity (a shared branch) from a fault.
 A round holds each polynomial as dense y-rows: row j lists the
 x-coefficients of y^j and is at most n - acc - j long, so the cut is each
 row's length.  A step g_j -= q(x) f_j runs over all rows in one context
-kernel, FieldCtx.sub_mul_rows; over F_p it packs q once and each f_j into
-a big int and does one product per row (Kronecker substitution),
-elsewhere it walks the nonzero entries of f_j.
+kernel, FieldCtx.sub_mul_rows, the same in every field: it packs q, the
+f_j and the g_j into big ints and does one product per row (Kronecker
+substitution, see the field module).
 """
 
 from .errors import InternalError, TruncationUnstable
@@ -167,8 +167,8 @@ def local_intersection(g, h):
         return LocalMult(INF if vanishes_at_origin(other) else 0)
     if not vanishes_at_origin(g) or not vanishes_at_origin(h):
         return LocalMult(0)
-    # BiPoly keeps coefficients as given; the packed F_p kernel needs ints
-    # in [0, p), and ctx.add puts any element in its canonical form
+    # BiPoly keeps coefficients as given; the packed kernel needs canonical
+    # elements, and ctx.add puts any element in its canonical form
     ctx = g.ctx
     g, h = (BiPoly(ctx, {k: ctx.add(ctx.zero, v) for k, v in e.c.items()})
             for e in (g, h))

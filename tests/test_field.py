@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from singcurve.errors import (Char0IrreducibleRemainder, DivisionByZero,
                               InputError)
-from singcurve.field import (PRIME_TEST_LIMIT, ExtFieldCtx, FieldCtx,
-                             PrimeFieldCtx, RationalCtx, adjoin_splitting,
+from singcurve.field import (PRIME_TEST_LIMIT, ExtFieldCtx, adjoin_splitting,
                              embedding, field_ctx, is_prime, uni_deg,
                              uni_divmod, uni_eval, uni_factor, uni_gcd,
                              uni_mul, uni_rational_roots, uni_squarefree,
@@ -94,7 +93,7 @@ _row_coeffs = st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 3)),
                        max_size=30)
 
 
-def _check_sub_mul_rows(kernel, ctx, f, g, q, n):
+def _check_sub_mul_rows(ctx, f, g, q, n):
     # g - q(x)*f cut at total degree n, and the cut flag, from the full
     # product; rows are made with the cut so that row j is <= n - j long
     want, want_cut = full_product(
@@ -103,7 +102,7 @@ def _check_sub_mul_rows(kernel, ctx, f, g, q, n):
     want = clip_total(g, n)[0] - want
     fr, gr = _to_yrows(f, n)[0], _to_yrows(g, n)[0]
     before = [list(r) for r in fr], [list(r) for r in gr]
-    rows, cut = kernel(ctx, gr, fr, q, n)
+    rows, cut = ctx.sub_mul_rows(gr, fr, q, n)
     assert (fr, gr) == before
     assert cut == want_cut
     assert _rows_trim(rows) == _to_yrows(want)[0]
@@ -111,25 +110,41 @@ def _check_sub_mul_rows(kernel, ctx, f, g, q, n):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(KERNEL_CTXS), _row_terms, _row_terms, _row_coeffs,
-       st.integers(1, 48), st.booleans())
-def test_sub_mul_rows_matches_the_full_product(ctx, ft, gt, qc, n, generic):
+       st.integers(1, 48))
+def test_sub_mul_rows_matches_the_full_product(ctx, ft, gt, qc, n):
     f, g = (BiPoly(ctx, {k: small_elem(ctx, a, b) for k, (a, b) in t.items()})
             for t in (ft, gt))
     q = uni_trim(ctx, [small_elem(ctx, a, b) for a, b in qc])
-    kernel = FieldCtx.sub_mul_rows if generic else type(ctx).sub_mul_rows
-    _check_sub_mul_rows(kernel, ctx, f, g, q, n)
+    _check_sub_mul_rows(ctx, f, g, q, n)
 
 
-@pytest.mark.parametrize("p", [2, 32003, BIG_P])
+# (ctx, entry of q, of f, of g): the largest entries of each field, every
+# coordinate p - 1, and over Q ints and Fractions that make the new rows
+# reach the signed bound at both signs, once with a row g_j far larger
+# than q*f_j
+FULL_SLOTS = [
+    (field_ctx(2), 1, 1, 1),
+    (field_ctx(32003), 32002, 32002, 32002),
+    (field_ctx(BIG_P), BIG_P - 1, BIG_P - 1, BIG_P - 1),
+    (field_ctx(2, 3), (1, 1, 1), (1, 1, 1), (1, 1, 1)),
+    (field_ctx(7, 2), (6, 6), (6, 6), (6, 6)),
+    (field_ctx(0), -10 ** 30, 10 ** 30, 10 ** 30),
+    (field_ctx(0), Fraction(10 ** 30, 7), Fraction(-10 ** 30, 3),
+     Fraction(-1, 11)),
+    (field_ctx(0), 1, -1, 10 ** 30),
+]
+
+
+@pytest.mark.parametrize("case", FULL_SLOTS, ids=[
+    "2", "32003", str(BIG_P), "GF(2^3)", "GF(7^2)", "QQ", "QQ-fractions",
+    "QQ-large-g"])
 @pytest.mark.parametrize("n", [1, 30, 60, 200])
-def test_packed_sub_mul_rows_at_full_slots(p, n):
-    # every coefficient p - 1: the middle of q*f_j reaches (p-1)^2 len(q),
-    # the bound the slot width is made for
-    ctx = field_ctx(p)
-    top = p - 1
-    f = BiPoly(ctx, {(i, j): top for j in range(4) for i in range(70)})
-    g = BiPoly(ctx, {(i, j): top for j in range(6) for i in range(0, 90, 3)})
-    _check_sub_mul_rows(PrimeFieldCtx.sub_mul_rows, ctx, f, g, [top] * 70, n)
+def test_packed_sub_mul_rows_at_full_slots(case, n):
+    # the middle of q*f_j reaches the bound the slot width is made for
+    ctx, cq, cf, cg = case
+    f = BiPoly(ctx, {(i, j): cf for j in range(4) for i in range(70)})
+    g = BiPoly(ctx, {(i, j): cg for j in range(6) for i in range(0, 90, 3)})
+    _check_sub_mul_rows(ctx, f, g, [cq] * 70, n)
 
 
 SERIES_CTXS = KERNEL_CTXS + [field_ctx(3)]
@@ -153,22 +168,24 @@ def _series_case(ctx):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(SERIES_CTXS).flatmap(_series_case), st.booleans())
+@given(st.sampled_from(SERIES_CTXS).flatmap(_series_case))
 # every entry at its largest: the middle coefficients reach the slot bound
-@example((field_ctx(BIG_P), [BIG_P - 1] * 80, [BIG_P - 1] * 70, 200), False)
-@example((field_ctx(32003), [32002] * 300, [32002] * 300, 600), False)
-@example((field_ctx(0), [-10 ** 30] * 90, [10 ** 30] * 90, 179), False)
-@example((field_ctx(0), [Fraction(-1, 3)] * 50, [Fraction(-2, 7)] * 50, 30),
-         False)
-def test_mul_series_matches_the_naive_product(case, generic):
+@example((field_ctx(BIG_P), [BIG_P - 1] * 80, [BIG_P - 1] * 70, 200))
+@example((field_ctx(32003), [32002] * 300, [32002] * 300, 600))
+@example((field_ctx(2, 3), [(1, 1, 1)] * 90, [(1, 1, 1)] * 70, 200))
+@example((field_ctx(7, 2), [(6, 6)] * 90, [(6, 6)] * 70, 200))
+@example((field_ctx(0), [-10 ** 30] * 90, [10 ** 30] * 90, 179))
+@example((field_ctx(0), [Fraction(-1, 3)] * 50, [Fraction(-2, 7)] * 50, 30))
+@example((field_ctx(0), [Fraction(10 ** 30, 7)] * 60,
+          [Fraction(-10 ** 30, 3)] * 60, 119))
+def test_mul_series_matches_the_naive_product(case):
     ctx, a, b, n = case
     before = list(a), list(b)
-    kernel = FieldCtx.mul_series if generic else type(ctx).mul_series
-    got = kernel(ctx, a, b, n)
+    got = ctx.mul_series(a, b, n)
     assert (a, b) == before
     assert len(got) == n
     assert got == series_product(ctx, a, b, n)
-    assert kernel(ctx, a, a, n) == series_product(ctx, a, a, n)
+    assert ctx.mul_series(a, a, n) == series_product(ctx, a, a, n)
 
 
 @given(st.integers(min_value=-2, max_value=200))

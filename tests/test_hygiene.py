@@ -1,6 +1,6 @@
 """Source hygiene: no unused imports and no unreferenced private functions
-in the package, and the benchmark's per-layer tracer still finds every
-function it patches."""
+in the package, one body per context kernel, and the benchmark's per-layer
+tracer still finds every function it patches."""
 
 import ast
 import importlib.util
@@ -8,6 +8,8 @@ import pathlib
 from collections import Counter
 
 from singcurve import milnor, poly
+from singcurve.field import (ExtFieldCtx, FieldCtx, PrimeFieldCtx,
+                             RationalCtx)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "singcurve"
@@ -109,3 +111,19 @@ def test_series_products_go_through_ser_mul():
     # the bench's invariants.ser_mul counters wrap _ser_mul, so a direct
     # call of the kernel anywhere else would hide its products
     assert _attribute_uses("mul_series") == {("invariants.py", "_ser_mul")}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_context_kernels_are_written_once():
+    # each kernel has one body, on FieldCtx, over the contexts' codecs; a
+    # copy in a context would fork it per field again
+    subs = set(_subclasses(FieldCtx))
+    assert {RationalCtx, PrimeFieldCtx, ExtFieldCtx} <= subs
+    for name in ("sub_mul_rows", "mul_series"):
+        assert name in FieldCtx.__dict__
+        assert [c.__name__ for c in subs if name in c.__dict__] == []
