@@ -276,7 +276,8 @@ def _build_parser():
     m.add_argument("--unit", dest="unit_text", metavar="POLY",
                    help="multiply by this unit before taking partials")
     m.add_argument("--trunc", type=int, default=None, metavar="D",
-                   help="truncation degree for the unit multiple")
+                   help="reduce the jet of the unit multiple below degree "
+                        "D; the answer is certified or rejected (exit 2)")
     i = sub.add_parser("intersect", parents=[common],
                        help="intersection multiplicity at the origin")
     i.add_argument("-g", dest="g_text", metavar="POLY",

@@ -485,41 +485,42 @@ def parametrize_branch(f, terms=64):
 # intersection multiplicities
 
 
-def intersect_tree(f, g):
-    """Intersection number at the origin from the tree of f*g; math.inf
-    when f and g share a component through the origin."""
+def _origin_gate(f, g):
+    """The answer of an intersection engine before any branch work: 0 when
+    either curve misses the origin, INF when they share a branch through
+    it, None otherwise."""
     if f.ctx != g.ctx:
         raise InternalError("mixed coefficient contexts")
     if not vanishes_at_origin(f) or not vanishes_at_origin(g):
         return 0
     if vanishes_at_origin(gcd_bipoly(f, g)):
         return INF
+    return None
+
+
+def intersect_tree(f, g):
+    """Intersection number at the origin from the tree of f*g; math.inf
+    when f and g share a component through the origin."""
+    gate = _origin_gate(f, g)
+    if gate is not None:
+        return gate
     t = build_tree_multi([f, g])
     fa = [a.nid for a in t.arrows("branch") if a.owner == 0]
     ga = [a.nid for a in t.arrows("branch") if a.owner == 1]
     return sum(rho(t, a, b) for a in fa for b in ga)
 
 
-def intersect_param(f, g, terms=None):
-    """ord_t g(phi, psi) along the branch of f, doubling the precision
-    until the order certificate (order < T/2) holds."""
-    if f.ctx != g.ctx:
-        raise InternalError("mixed coefficient contexts")
-    if not vanishes_at_origin(f) or not vanishes_at_origin(g):
-        return 0
-    if vanishes_at_origin(gcd_bipoly(f, g)):
-        return INF
+def intersect_param(f, g, terms=16):
+    """ord_t g(phi, psi) along the branch of f: the precision T starts at
+    terms and doubles until the order certificate (order < T/2) holds."""
+    gate = _origin_gate(f, g)
+    if gate is not None:
+        return gate
     t = build_tree(f)
     arrows = t.arrows("branch")
     if len(arrows) != 1:
         raise NotIrreducible(f"{len(arrows)} branches")
-    if terms is None:
-        expected = intersect_tree(f, g)
-        n = 16
-        while n < 4 * expected:
-            n *= 2
-    else:
-        n = max(int(terms), 4)
+    n = max(int(terms), 4)
     while n <= PRECISION_CAP:
         try:
             par = _parametrize_arrow(f, t, arrows[0].nid, n)

@@ -25,13 +25,12 @@ f_j and the g_j into big ints and does one product per row (Kronecker
 substitution, see the field module).
 """
 
-from .errors import InternalError, TruncationUnstable
+from .errors import InternalError, NotAUnit, TruncationUnstable
 from .field import uni_deg, uni_divmod, uni_gcd, uni_order, uni_trim
-from .invariants import INF, rho, tree_mu_bar
+from .invariants import INF, rho
 from .newton import face_line, newton_polygon
-from .poly import (BiPoly, _rows_trim, _to_yrows, gcd_bipoly,
-                   mul_unit_truncated, partials, reduce_mod, reduced_check,
-                   vanishes_at_origin)
+from .poly import (BiPoly, _rows_trim, _to_yrows, clip_total, gcd_bipoly,
+                   partials, reduce_mod, reduced_check, vanishes_at_origin)
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity, \
     vertex_report
 
@@ -190,22 +189,29 @@ def milnor_number(f, unit=None, trunc=None):
     """dim of the Jacobian quotient, as i(f_x, f_y); math.inf when the
     partials share a factor through the origin.
 
-    With a unit the number is computed for unit*f truncated at total degree
-    trunc (default 2*(1 - M) + 4) and recomputed two degrees higher; a
-    disagreement raises TruncationUnstable.
+    With a unit u the number is that of u*f, formed exactly.  With trunc D
+    as well, the reduction runs on the jet j of u*f below total degree D,
+    and its value m is returned when the cut dropped nothing, or when m is
+    finite and D - 1 >= 2m - ord j + 2: a germ with finite mu is
+    (2 mu - ord + 2)-determined for right equivalence in every
+    characteristic (Boubakri, Greuel, Markwig 2012), so u*f, which agrees
+    with j below degree D, is right equivalent to j and has mu = m.  Any
+    other cut raises TruncationUnstable.
     """
     if unit is None:
         return local_intersection(*partials(f)).value
-    if trunc is None:
-        trunc = 2 * tree_mu_bar(build_tree(f)) + 4
-    first = local_intersection(
-        *partials(mul_unit_truncated(f, unit, trunc))).value
-    second = local_intersection(
-        *partials(mul_unit_truncated(f, unit, trunc + 2))).value
-    if first != second:
+    if vanishes_at_origin(unit):
+        raise NotAUnit("unit factor must not vanish at the origin")
+    g, cut = unit * f, False
+    if trunc is not None:
+        g, cut = clip_total(g, trunc)
+    m = local_intersection(*partials(g)).value
+    if cut and (m == INF or trunc - 1 < 2 * m - g.ord() + 2):
         raise TruncationUnstable(
-            f"mu {first} at degree {trunc} but {second} at {trunc + 2}")
-    return first
+            f"the jet below degree D = {trunc} has mu = {m}; a cut jet is "
+            f"certified only for a finite mu with D - 1 >= 2 mu - ord + 2, "
+            f"the determinacy bound")
+    return m
 
 
 # ---------------------------------------------------------------------------

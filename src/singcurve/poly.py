@@ -11,7 +11,7 @@ import functools
 import itertools
 import math
 
-from .errors import NotAUnit, ParseError, ZeroPolynomial
+from .errors import ParseError, ZeroPolynomial
 from .field import (ExtFieldCtx, PrimeFieldCtx, embedding, uni_add, uni_deg,
                     uni_eval, uni_gcd, uni_mul, uni_quo, uni_scale, uni_sub,
                     uni_trim)
@@ -73,8 +73,24 @@ class BiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        r = BiPoly(self.ctx)
-        mul_into(r.c, self, other)
+        """The product, with sums that cancel to zero removed."""
+        ctx = self.ctx
+        add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
+        out = {}
+        get = out.get
+        for (i1, j1), v1 in self.c.items():
+            for (i2, j2), v2 in other.c.items():
+                k = (i1 + i2, j1 + j2)
+                w = mul(v1, v2)
+                acc = get(k)
+                if acc is not None:
+                    w = add(acc, w)
+                    if is_zero(w):
+                        del out[k]
+                        continue
+                out[k] = w
+        r = BiPoly(ctx)
+        r.c = out
         return r
 
     def __pow__(self, n):
@@ -180,43 +196,6 @@ def clip_total(f, n):
     r = BiPoly(f.ctx)
     r.c = kept
     return r, True
-
-
-def mul_into(out, f, g, n=None):
-    """Add f*g into the coefficient dict out, leaving out monomials of total
-    degree n and above and removing sums that cancel to zero.  Returns
-    whether any product term was left out."""
-    ctx = f.ctx
-    add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-    if n is None:
-        n = math.inf
-    get = out.get
-    cut = False
-    for (i1, j1), v1 in f.c.items():
-        room = n - i1 - j1
-        for (i2, j2), v2 in g.c.items():
-            if i2 + j2 >= room:
-                cut = True
-                continue
-            k = (i1 + i2, j1 + j2)
-            w = mul(v1, v2)
-            acc = get(k)
-            if acc is not None:
-                w = add(acc, w)
-                if is_zero(w):
-                    del out[k]
-                    continue
-            out[k] = w
-    return cut
-
-
-def mul_unit_truncated(f, unit, trunc):
-    """f * unit keeping total degree < trunc; unit(0,0) must be nonzero."""
-    if vanishes_at_origin(unit):
-        raise NotAUnit("unit factor must not vanish at the origin")
-    out = BiPoly(f.ctx)
-    mul_into(out.c, f, unit, trunc)
-    return out
 
 
 # ---------------------------------------------------------------------------

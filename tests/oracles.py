@@ -16,7 +16,7 @@ from singcurve.field import (uni_divmod, uni_gcd, uni_mul, uni_order,
                              uni_quo, uni_sub, uni_trim)
 from singcurve.hn import hn_map
 from singcurve.invariants import INF
-from singcurve.poly import BiPoly, clip_total, mul_into, vanishes_at_origin
+from singcurve.poly import BiPoly, clip_total, vanishes_at_origin
 
 X, Y, U, T = symbols("x y u t")
 
@@ -532,11 +532,10 @@ def gcd_prs(f, g):
 
 # ---------------------------------------------------------------------------
 # one round of the Milnor reduction on BiPoly dicts, term by term through
-# mul_into (checked against full_product in test_poly): dict_reduce_pair is
-# the reference for the library's round on y-rows (milnor._reduce_pair),
-# with the same rounds, budget cut, clips and certificate; the earlier
-# fixed-cut round, dict_reduce_pair_fixed_cut, is the reference for the
-# values that local_intersection returns.
+# full_product: dict_reduce_pair is the reference for the library's round
+# on y-rows (milnor._reduce_pair), with the same rounds, budget cut, clips
+# and certificate; the earlier fixed-cut round, dict_reduce_pair_fixed_cut,
+# is the reference for the values that local_intersection returns.
 
 
 def _subs_y0(f):
@@ -550,14 +549,13 @@ def _div_monomial(f, a, b):
 
 
 def dict_sub_mul_clip(g, f, q, n):
-    """g - q(x)*f keeping total degree < n; flags dropped terms."""
+    """g - q(x)*f keeping total degree < n; flags dropped terms.  The top
+    term of each y-row of q(x)*f is nonzero, so a product term of degree n
+    or more exists iff the cut product lost one."""
     ctx = g.ctx
-    out = dict(g.c)
     neg_q = BiPoly(ctx, {(k, 0): ctx.neg(c) for k, c in enumerate(q)})
-    dropped = mul_into(out, neg_q, f, n)
-    r = BiPoly(ctx)
-    r.c = out
-    return r, dropped
+    prod, dropped = full_product(neg_q, f, n)
+    return g + prod, dropped
 
 
 def _dict_strip(f, g):

@@ -55,9 +55,29 @@ def test_mu_with_unit_matches_library():
 
 @pytest.mark.parametrize("p, mu", [(5, "157"), (7, "156")])
 def test_mu_of_ex1_times_a_unit(p, mu):
-    # the partials of the unit multiple, cut at degree 316, reduce on dense
-    # rows: 5-6 s each on dicts
+    # the partials of the unit multiple reduce on dense rows: 5-6 s each on
+    # dicts
     assert _ok("mu", p=p, f_text=EX1, unit_text="1 + x + y + x y") == mu
+
+
+@pytest.mark.parametrize("p", [0, 5], ids=["QQ", "GF(5)"])
+def test_mu_with_unit_of_a_non_reduced_germ_is_infinity(p):
+    # the partials share the repeated branch y - x^2, with or without a unit
+    f = "(y - x^2)^2 (y + x)"
+    assert _ok("mu", p=p, f_text=f) == "infinity"
+    for trunc in (None, 12):
+        assert _ok("mu", p=p, f_text=f, unit_text="1 + x",
+                   trunc=trunc) == "infinity"
+
+
+def test_mu_with_a_jet_below_the_determinacy_bound_exits_2(capsys):
+    assert main(["mu", "-f", "x^2 - y^3", "--unit", "1 + x",
+                 "--trunc", "3"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "D - 1 >= 2 mu - ord + 2" in cap.err
+    assert main(["mu", "-f", "x^2 - y^3", "--unit", "1 + x",
+                 "--trunc", "5"]) == 0
+    assert capsys.readouterr().out == "2\n"
 
 
 def test_tree_ascii_empty_face():

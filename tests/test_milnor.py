@@ -11,13 +11,14 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcurve.errors import TruncationUnstable
+from singcurve import invariants, milnor
+from singcurve.errors import NotAUnit, TruncationUnstable
 from singcurve.field import field_ctx
 from singcurve.invariants import INF, intersect_param, intersect_tree, mu_bar
 from singcurve.milnor import _reduce_pair, check_conjecture, is_nd_face, \
     is_nnd, local_intersection, milnor_number, polar_intersection
 from singcurve.newton import newton_polygon
-from singcurve.poly import BiPoly, mul_unit_truncated, parse_poly, partials
+from singcurve.poly import BiPoly, clip_total, parse_poly, partials
 
 from curves import EX1, EX2, four_lines
 from oracles import dict_reduce_pair, dict_reduce_pair_fixed_cut, \
@@ -202,12 +203,10 @@ def test_reduce_pair_trims_zero_tuples_after_a_clip():
 
 
 def test_a_cut_round_never_returns_its_precision():
-    # the partials of EX1 times a unit at p = 3, truncated as milnor_number
-    # truncates them, have i = 157: the fixed cut certified it at n = 128,
-    # the budget waits for n = 256
+    # the partials of EX1 times a unit at p = 3 have i = 157: the fixed cut
+    # certified it at n = 128, the budget waits for n = 256
     ctx = field_ctx(3)
-    f = mul_unit_truncated(parse_poly(EX1, ctx),
-                           parse_poly("1 + x + y + x y", ctx), 316)
+    f = parse_poly(EX1, ctx) * parse_poly("1 + x + y + x y", ctx)
     fx, fy = partials(f)
     assert dict_reduce_pair_fixed_cut(fx, fy, 128) == 157
     for n, want in ((128, None), (256, 157)):
@@ -255,11 +254,10 @@ def test_dense_reduction_is_fast(text, p, mu):
 @pytest.mark.parametrize("p, k, mu", [(7, 2, 156), (3, 2, 157)],
                          ids=["GF(7^2)", "GF(3^2)"])
 def test_reduction_over_an_extension_is_fast(p, k, mu):
-    # EX1 times a unit cut at degree 80: 8.6 s over F_{7^2} and 3.6 s over
-    # F_{3^2} when the reduction multiplied tuples entry by entry
+    # EX1 times a unit: 8.6 s over F_{7^2} and 3.6 s over F_{3^2} when the
+    # reduction multiplied tuples entry by entry
     ctx = field_ctx(p, k)
-    f = mul_unit_truncated(parse_poly(EX1, ctx),
-                           parse_poly("1 + x + y + x y", ctx), 80)
+    f = parse_poly(EX1, ctx) * parse_poly("1 + x + y + x y", ctx)
     fx, fy = partials(f)
     start = time.process_time()
     assert local_intersection(fx, fy).value == mu
@@ -304,15 +302,85 @@ def test_milnor_ex2_with_unit():
 
 
 def test_milnor_truncation_unstable():
-    with pytest.raises(TruncationUnstable):
-        milnor_number(_q("x^2 - y^3"), unit=_q("1 + x"), trunc=3)
-    assert milnor_number(_q("x^2 - y^3"), unit=_q("1 + x"), trunc=4) == 2
+    # (1 + x)(x^2 - y^3) below degree 3 is x^2 (mu infinite), and below
+    # degree 4 has mu = 2 but the determinacy bound 2 mu - ord + 2 = 4 asks
+    # for D - 1 >= 4; below degree 5 the cut drops nothing
+    f, u = _q("x^2 - y^3"), _q("1 + x")
+    for trunc in (3, 4):
+        with pytest.raises(TruncationUnstable, match="2 mu - ord \\+ 2"):
+            milnor_number(f, unit=u, trunc=trunc)
+    assert milnor_number(f, unit=u, trunc=5) == 2
+
+
+def test_milnor_number_rejects_a_non_unit():
+    with pytest.raises(NotAUnit):
+        milnor_number(_q("x^2"), unit=_q("x + y"))
+    with pytest.raises(NotAUnit):
+        milnor_number(_q("x^2"), unit=_q("x + y"), trunc=4)
+
+
+DETERMINACY_CTXS = (field_ctx(2), field_ctx(3), field_ctx(5), field_ctx(7),
+                    QQ)
+
+# y^a + x^b plus up to three terms of degree at most 12
+_small_noise = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any), _coeff,
+    max_size=3)
+_small_germ = st.tuples(st.integers(1, 7), st.integers(1, 7), _small_noise)
+# unit terms up to degree 60, so that most jets at the bound cut some off
+_unit_tail = st.dictionaries(
+    st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(any), _coeff,
+    max_size=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(DETERMINACY_CTXS), _small_germ, _unit_tail)
+def test_a_jet_at_the_determinacy_bound_keeps_mu(ctx, germ, ut):
+    # a germ with finite mu is (2 mu - ord + 2)-determined, so the jets of
+    # u*f below D = 2 mu - ord + 3 and D + 1 have the mu of u*f, and
+    # milnor_number certifies them
+    f = _from_germ(ctx, germ)
+    u = _from_terms(ctx, ut) + BiPoly.const(ctx, ctx.one)
+    mu = milnor_number(f, unit=u)
+    if mu == INF:
+        return
+    uf = u * f
+    d = 2 * mu - uf.ord() + 3
+    for trunc in (d, d + 1):
+        jet = clip_total(uf, trunc)[0]
+        assert local_intersection(*partials(jet)).value == mu
+        assert milnor_number(f, unit=u, trunc=trunc) == mu
+
+
+def test_milnor_number_with_a_unit_builds_no_tree(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("milnor_number built a tree")
+
+    monkeypatch.setattr(milnor, "build_tree", boom)
+    for p, want in ((2, 168), (3, 157)):
+        ctx = field_ctx(p)
+        f = parse_poly(EX1, ctx)
+        assert milnor_number(f, unit=parse_poly("1 + x + y + x y", ctx)) \
+            == want
+
+
+def test_intersect_param_does_not_ask_the_tree_engine(monkeypatch):
+    pairs = [(_q("x^2 - y^3"), _q("x^3 - y^2")),
+             (_f(EX1, 7), _f("x", 7)),
+             (_f(EX1, 3), _f("y^2 - x^3 + x y^5", 3))]
+    want = [intersect_tree(f, g) for f, g in pairs]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("intersect_param called intersect_tree")
+
+    monkeypatch.setattr(invariants, "intersect_tree", boom)
+    assert [intersect_param(f, g) for f, g in pairs] == want
 
 
 def test_mu_bar_is_unit_invariant():
     f = _f(EX2, 13)
     u = parse_poly("1 + x + y + x y", f.ctx)
-    g = mul_unit_truncated(f, u, 60)
+    g = f * u
     assert mu_bar(g) == mu_bar(f) == 102
 
 

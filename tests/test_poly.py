@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcurve import poly
-from singcurve.errors import NotAUnit, ParseError, ZeroPolynomial
+from singcurve.errors import ParseError, ZeroPolynomial
 from singcurve.field import field_ctx
-from singcurve.poly import (BiPoly, gcd_bipoly, mul_into, mul_unit_truncated,
-                            parse_poly, partials, poly_str, reduced_check,
-                            vanishes_at_origin)
+from singcurve.poly import (BiPoly, gcd_bipoly, parse_poly, partials,
+                            poly_str, reduced_check, vanishes_at_origin)
 
 from oracles import full_product, gcd_prs, small_elem, substitute
 
@@ -145,38 +144,14 @@ _terms = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
 
 
 @settings(max_examples=300)
-@given(st.sampled_from(MUL_CTXS), _terms, _terms, _terms,
-       st.sampled_from((None, 0, 1, 2, 3, 5, 8)), st.booleans())
-def test_mul_into_matches_the_full_product(ctx, ft, gt, ht, n, cancel):
-    f, g, h = (BiPoly(ctx, {k: small_elem(ctx, a, b)
-                            for k, (a, b) in t.items()})
-               for t in (ft, gt, ht))
-    want, want_cut = full_product(f, g, n)
-    # start from h - want to make every product sum cancel to zero
-    out = dict((h - want).c if cancel else h.c)
-    assert mul_into(out, f, g, n) == want_cut
-    assert out == (h if cancel else h + want).c
-    assert all(not ctx.is_zero(v) for v in out.values())
-
-
-def test_mul_unit_truncated():
-    f = parse_poly("x^2", QQ)
-    u = parse_poly("1 + x + y", QQ)
-    out = mul_unit_truncated(f, u, 4)
-    assert out == parse_poly("x^2 + x^3 + x^2 y", QQ)
-    with pytest.raises(NotAUnit):
-        mul_unit_truncated(f, parse_poly("x + y", QQ), 4)
-    # truncation commutes with full product on low terms
-    rng = random.Random(43)
-    for _ in range(10):
-        a = rand_bipoly(F5, rng)
-        u = rand_bipoly(F5, rng) + BiPoly.const(F5, 1)
-        if F5.is_zero(u.coeff(0, 0)):
-            continue
-        t = mul_unit_truncated(a, u, 6)
-        full = a * u
-        expect = BiPoly(F5, {k: v for k, v in full.c.items() if k[0] + k[1] < 6})
-        assert t == expect
+@given(st.sampled_from(MUL_CTXS), _terms, _terms)
+def test_mul_matches_the_full_product(ctx, ft, gt):
+    f, g = (BiPoly(ctx, {k: small_elem(ctx, a, b)
+                         for k, (a, b) in t.items()})
+            for t in (ft, gt))
+    prod = f * g
+    assert prod == full_product(f, g)[0]
+    assert all(not ctx.is_zero(v) for v in prod.c.values())
 
 
 def _sympy_divides(d, f, p):
