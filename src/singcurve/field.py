@@ -883,7 +883,7 @@ def adjoin_splitting(f, ctx):
         if uni_deg(rem) >= 1:
             raise Char0IrreducibleRemainder(
                 "irrational roots needed over Q; rerun over F_p with a prime "
-                "p larger than -M + ord(f)")
+                "p larger than mu + ord(f) - 1, mu from `singcurve mu`")
         return ctx, (lambda a: a), roots
     _, fac = uni_factor(ctx, f)
     k2 = ctx.ext_degree

@@ -72,44 +72,41 @@ class HNMap:
         term; with n given, its monomials of total degree n and above are
         left out.
 
-        Each term needs only one shift power, so this is far cheaper than a
-        generic substitution.
+        The term v x^i y^j maps to v X^w (Y + mu_bar)^e with w = pi + qj - N
+        and e = Ai + Bj, whose Y^k coefficient is v C(e, k) mu_bar^(e-k).
+        C(e, k) is walked as an exact integer and mapped by ctx.from_int, so
+        it vanishes exactly when it does in the field (in characteristic p,
+        by Lucas' theorem) and is then skipped.  The powers of mu_bar are
+        taken once, so the cost is the output size plus the largest e kept.
         """
         ctx = f.ctx
         shift = self.image_order(f) if f.c else 0
-        rows = {0: [ctx.one]}
-        top = 0
-        out = {}
         add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-        mu_bar = self.mu_bar
+        from_int = ctx.from_int
+        terms = []
         for (i, j), v in f.c.items():
             w = self.p * i + self.q * j - shift
-            e = self.A * i + self.B * j
-            if is_zero(v) or (n is not None and w >= n):
-                continue
-            while top < e:
-                # row e holds the coefficients of (Y + mu_bar)^e, cut to
-                # length n when truncating
-                prev = rows[top]
-                top += 1
-                nxt = [mul(b, mu_bar) for b in prev]
-                if n is None or top < n:
-                    nxt.append(ctx.zero)
-                for k in range(1, len(nxt)):
-                    nxt[k] = add(nxt[k], prev[k - 1])
-                rows[top] = nxt
-            row = rows[e] if n is None else rows[e][:n - w]
-            for k, b in enumerate(row):
-                if is_zero(b):
-                    continue
-                key = (w, k)
-                s = mul(v, b)
-                if key in out:
-                    s = add(out[key], s)
-                    if is_zero(s):
-                        del out[key]
-                        continue
-                out[key] = s
+            if not is_zero(v) and (n is None or w < n):
+                terms.append((w, self.A * i + self.B * j, v))
+        powers = [ctx.one]
+        for _ in range(max((e for _, e, _ in terms), default=0)):
+            powers.append(mul(powers[-1], self.mu_bar))
+        rows = {}
+        for w, e, v in terms:
+            top = e + 1 if n is None else min(e + 1, n - w)
+            row = rows.setdefault(w, [])
+            row.extend([ctx.zero] * (top - len(row)))
+            binom = 1
+            for k in range(top):
+                b = from_int(binom)
+                if not is_zero(b):
+                    row[k] = add(row[k], mul(mul(v, b), powers[e - k]))
+                binom = binom * (e - k) // (k + 1)
+        out = {}
+        for w, row in rows.items():
+            for k, s in enumerate(row):
+                if not is_zero(s):
+                    out[w, k] = s
         r = BiPoly(ctx)
         r.c = out
         return r

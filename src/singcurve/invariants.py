@@ -249,10 +249,11 @@ def _ser_mul(ctx, a, b, n):
 
 
 def _ser_addto(ctx, acc, b):
-    """acc += b in place over the length of acc; returns acc."""
-    add, is_zero = ctx.add, ctx.is_zero
+    """acc += b in place over the length of acc; returns acc.  The shared
+    zero, which series are full of, is passed over without a method call."""
+    add, is_zero, zero = ctx.add, ctx.is_zero, ctx.zero
     for k, bk in enumerate(b[:len(acc)]):
-        if not is_zero(bk):
+        if bk is not zero and not is_zero(bk):
             acc[k] = add(acc[k], bk)
     return acc
 

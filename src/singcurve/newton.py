@@ -60,13 +60,11 @@ def _cross(a, b, c):
 def newton_polygon(f):
     if f.is_zero():
         raise ZeroPolynomial("Newton polygon of the zero polynomial")
-    supp = f.c.keys()
-    i0 = min(i for i, _ in supp)
-    j0 = min(j for _, j in supp)
     by_i = {}
-    for i, j in supp:
+    for i, j in f.c:
         if i not in by_i or j < by_i[i]:
             by_i[i] = j
+    i0, j0 = min(by_i), min(by_i.values())
     stair = []
     for i in sorted(by_i):
         j = by_i[i]

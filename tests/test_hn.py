@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from singcurve.errors import BadOrder, NotCoprime, OrderMismatch, ZeroRoot
 from singcurve.field import field_ctx
-from singcurve.hn import chart_exponents, hn_map
+from singcurve.hn import HNMap, chart_exponents, hn_map
 from singcurve.newton import newton_polygon
 from singcurve.poly import BiPoly, clip_total, parse_poly
+from singcurve.tree import build_tree, tree_multiplicity
 
 from curves import EX1
 from oracles import (euclid_exponents, euclid_sequences, full_image,
@@ -233,15 +234,20 @@ def test_truncated_map_cuts_the_cofactor(terms, pq, c, n):
     assert cut.c == {k: v for k, v in w.c.items() if k[0] + k[1] < n}
 
 
-CHART_CTXS = (field_ctx(13), field_ctx(7, 2), QQ)
+# small characteristics next to large ones: with the charts (2, 13) and
+# (5, 8) and exponents up to 8 the shift powers reach e >= p, so whole runs
+# of binomials C(e, k) vanish in F_2, F_3 and F_{2^3}
+CHART_CTXS = (field_ctx(2), field_ctx(3), field_ctx(13), field_ctx(32003),
+              field_ctx(2, 3), field_ctx(7, 2), QQ)
 
 
 @settings(max_examples=200)
 @given(st.sampled_from(CHART_CTXS),
-       st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                        st.tuples(st.integers(-6, 6), st.integers(-3, 3)),
                        min_size=1, max_size=6),
-       st.sampled_from([(1, 1), (2, 1), (1, 3), (3, 2), (2, 5), (7, 4)]),
+       st.sampled_from([(1, 1), (2, 1), (1, 3), (3, 2), (2, 5), (7, 4),
+                        (2, 13), (5, 8)]),
        st.tuples(st.integers(1, 6), st.integers(-3, 3)),
        st.integers(0, 40))
 def test_apply_is_the_substituted_image_over_x_to_the_n(ctx, terms, pq, root,
@@ -249,10 +255,33 @@ def test_apply_is_the_substituted_image_over_x_to_the_n(ctx, terms, pq, root,
     f = BiPoly(ctx, {k: small_elem(ctx, a, b)
                      for k, (a, b) in terms.items()})
     assume(not f.is_zero())
-    m = hn_map(*pq, small_elem(ctx, *root), ctx)
+    mu = small_elem(ctx, *root)
+    assume(not ctx.is_zero(mu))
+    m = hn_map(*pq, mu, ctx)
     N = m.image_order(f)
     w = m.apply(f)
     assert w.x_mult() == 0
     shifted = BiPoly(ctx, {(i + N, j): v for (i, j), v in w.c.items()})
     assert shifted == full_image(f, m)
     assert m.apply(f, n) == clip_total(w, n)[0]
+
+
+@pytest.mark.parametrize("p, first, second",
+                         [(32003, (11, 73), (73, 4451)),
+                          (7, (11, 33), (33, 627))])
+def test_ex1_chart_sizes(monkeypatch, p, first, second):
+    # EX1's tree expands two charts; the second, (2, 13), has shift powers
+    # up to (Y + mu_bar)^170, and over F_7 most of their binomials vanish
+    seen = []
+    apply = HNMap.apply
+
+    def recording(self, f, n=None):
+        r = apply(self, f, n)
+        seen.append((self.p, self.q, len(f.c), len(r.c)))
+        return r
+
+    monkeypatch.setattr(HNMap, "apply", recording)
+    ctx = field_ctx(p)
+    t = build_tree(parse_poly(EX1, ctx), ctx)
+    assert seen == [(3, 2, *first), (2, 13, *second)]
+    assert tree_multiplicity(t).M == -155
