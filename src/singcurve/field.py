@@ -10,11 +10,12 @@ uni_* functions, which all take the context as first argument.
 The context kernels sub_mul_rows (the Milnor reduction's step) and
 mul_series (the truncated series product) are written once, in FieldCtx, as
 big-int products (Kronecker substitution, Harvey 2009) over each context's
-codec: _ints turns rows into ints over one denominator and bounds them,
-_elems turns product slots back into elements.  An element is 2k - 1 ints
-(k = 1 over F_p and Q), its k coordinates and k - 1 zeros, so a product of
-two lands in its own 2k - 1 slots.  A product slot then sums at most t
-terms, t the smaller count of nonzero ints of the two rows, and is at most
+codec; HNMap.apply sums its chart rows over the same codec.  _ints turns
+rows into ints over one denominator and bounds them, _elems turns slots
+back into elements.  An element is 2k - 1 ints (k = 1 over F_p and Q), its
+k coordinates and k - 1 zeros, so a product of two lands in its own 2k - 1
+slots.  A product slot then sums at most t terms, t the smaller count of
+nonzero ints of the two rows, and is at most
   (p - 1)^2 t <= (p - 1)^2 len over F_p,
   (p - 1)^2 t <= (p - 1)^2 k len per inner slot over F_{p^k},
   max|a| max|b| t <= max|a| max|b| len over Q, the rows scaled to ints,
@@ -418,6 +419,7 @@ class ExtFieldCtx(FieldCtx):
             hi = cur.pop()
             red.append(tuple((cur[j] + hi * red[0][j]) % p for j in range(k)))
         self._red = red
+        self._inverses = {}  # inv's memo: one extended Euclid per element
 
     def from_int(self, n):
         return (n % self.p,) + (0,) * (self.k - 1)
@@ -455,14 +457,16 @@ class ExtFieldCtx(FieldCtx):
         return tuple(v % p for v in low)
 
     def inv(self, a):
-        if all(x == 0 for x in a):
-            raise DivisionByZero("inverse of 0")
-        g, s, _ = uni_egcd(self.base, uni_trim(self.base, list(a)),
-                           list(self.modulus))
-        c = self.base.inv(g[0])
-        s = [x * c % self.p for x in s]
-        s += [0] * (self.k - len(s))
-        return tuple(s[:self.k])
+        r = self._inverses.get(a)
+        if r is None:
+            if all(x == 0 for x in a):
+                raise DivisionByZero("inverse of 0")
+            g, s, _ = uni_egcd(self.base, uni_trim(self.base, list(a)),
+                               list(self.modulus))
+            c = self.base.inv(g[0])
+            s = [x * c % self.p for x in s] + [0] * self.k
+            r = self._inverses[a] = tuple(s[:self.k])
+        return r
 
     # the codec of the packed kernels: an element is its k coordinates in
     # [0, p) and k - 1 zero slots, and half is a multiple of p

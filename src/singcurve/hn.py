@@ -10,6 +10,8 @@ for the whole X-power N.
 """
 
 import math
+from itertools import accumulate, repeat
+from operator import lshift
 
 from .errors import (BadOrder, NotCoprime, ParityViolation, ZeroPolynomial,
                      ZeroRoot)
@@ -73,42 +75,60 @@ class HNMap:
         left out.
 
         The term v x^i y^j maps to v X^w (Y + mu_bar)^e with w = pi + qj - N
-        and e = Ai + Bj, whose Y^k coefficient is v C(e, k) mu_bar^(e-k).
-        C(e, k) is walked as an exact integer and mapped by ctx.from_int, so
-        it vanishes exactly when it does in the field (in characteristic p,
-        by Lucas' theorem) and is then skipped.  The powers of mu_bar are
-        taken once, so the cost is the output size plus the largest e kept.
+        and e = Ai + Bj, whose Y^k coefficient v C(e, k) mu_bar^(e-k) is
+        mu_bar^(-k) c C(e, k), c = v mu_bar^e.  So the c are coded once as
+        ints over one denominator (_ints), slot k of each X^w row sums
+        c C(e, k) as ints, and each row is decoded once (_elems) and slot k
+        multiplied by mu_bar^(-k): exact in every field, as the codec is
+        Z-linear (residues mod p, numerators over Q).  In characteristic p,
+        C(e, k), walked exactly, is reduced mod p and skipped where it
+        vanishes (Lucas' theorem); a slot then sums less than p^2 len(terms),
+        so the 2k - 1 ints of an element share one int with no carry and
+        each C(e, k) is walked once.  The cost is a field product per input
+        and per output term and two per unit of the largest e, plus int
+        arithmetic per (term, k) pair.
         """
         ctx = f.ctx
         shift = self.image_order(f) if f.c else 0
-        add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
-        from_int = ctx.from_int
+        mul, is_zero = ctx.mul, ctx.is_zero
         terms = []
         for (i, j), v in f.c.items():
             w = self.p * i + self.q * j - shift
             if not is_zero(v) and (n is None or w < n):
                 terms.append((w, self.A * i + self.B * j, v))
-        powers = [ctx.one]
-        for _ in range(max((e for _, e, _ in terms), default=0)):
-            powers.append(mul(powers[-1], self.mu_bar))
+        e_max = max((e for _, e, _ in terms), default=0)
+        powers = list(accumulate(repeat(self.mu_bar, e_max), mul,
+                                 initial=ctx.one))
+        (cs,), d, bound = ctx._ints([[mul(v, powers[e]) for _, e, v in terms]])
+        p, s = ctx.characteristic, 2 * ctx.ext_degree - 1
+        # a sum packs s slots width bits apart; the top one keeps the rest
+        width = (bound * (p or 1) * len(terms)).bit_length()
+        shifts = [width * i for i in range(s)]
         rows = {}
-        for w, e, v in terms:
+        for (w, e, _), t in zip(terms, range(0, len(cs), s)):
+            c = sum(map(lshift, cs[t:t + s], shifts))
             top = e + 1 if n is None else min(e + 1, n - w)
             row = rows.setdefault(w, [])
-            row.extend([ctx.zero] * (top - len(row)))
+            row.extend([0] * (top - len(row)))
             binom = 1
             for k in range(top):
-                b = from_int(binom)
-                if not is_zero(b):
-                    row[k] = add(row[k], mul(mul(v, b), powers[e - k]))
+                b = binom % p if p else binom
+                if b:
+                    row[k] += c * b
                 binom = binom * (e - k) // (k + 1)
-        out = {}
-        for w, row in rows.items():
-            for k, s in enumerate(row):
-                if not is_zero(s):
-                    out[w, k] = s
+        inv_powers = list(accumulate(repeat(ctx.inv(self.mu_bar), e_max),
+                                     mul, initial=ctx.one))
+        masks = [(1 << width) - 1] * (s - 1) + [-1]  # -1: Q's signed sums
         r = BiPoly(ctx)
-        r.c = out
+        for w, row in rows.items():
+            ks = [k for k, c in enumerate(row) if c]
+            slots = [0] * (s * len(ks))
+            for i, (at, m) in enumerate(zip(shifts, masks)):
+                slots[i::s] = [row[k] >> at & m for k in ks]
+            row.clear()  # so that memory peaks near the output's size
+            for k, c in zip(ks, ctx._elems(slots, 0, d)):
+                if not is_zero(c):
+                    r.c[w, k] = mul(c, inv_powers[k])
         return r
 
     def __repr__(self):

@@ -60,6 +60,18 @@ def test_inv_of_zero_raises():
             ctx.inv(ctx.zero)
 
 
+@pytest.mark.parametrize("ctx", [field_ctx(2, 2), field_ctx(2, 3),
+                                 field_ctx(7, 2)], ids=repr)
+def test_ext_inv_is_memoised_and_exact(ctx):
+    for a in ctx.elements():
+        if not ctx.is_zero(a):
+            first = ctx.inv(a)
+            assert ctx.mul(a, first) == ctx.one
+            assert ctx.inv(a) == first
+    with pytest.raises(DivisionByZero):
+        ctx.inv(ctx.zero)
+
+
 def test_felem_examples():
     f5 = field_ctx(5)
     assert f5.inv(3) == 2

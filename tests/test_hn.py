@@ -4,11 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singcurve.errors import BadOrder, NotCoprime, OrderMismatch, ZeroRoot
-from singcurve.field import field_ctx
+from singcurve.field import RationalCtx, field_ctx
 from singcurve.hn import HNMap, chart_exponents, hn_map
 from singcurve.newton import newton_polygon
 from singcurve.poly import BiPoly, clip_total, parse_poly
@@ -242,6 +242,22 @@ CHART_CTXS = (field_ctx(2), field_ctx(3), field_ctx(13), field_ctx(32003),
 
 
 @settings(max_examples=200)
+# codec edge cases: over Q, roots -3/7 and 5/2 and one X-exponent group whose
+# coefficients have different denominators and negative numerators (the
+# chart (1, 1) sends x^2, xy and y^2 to one X-power, the chart (3, 2) sends
+# x^2 and y^3 to one); over F_{7^2}, roots outside F_7
+@example(QQ, {(2, 0): (-5, 2), (1, 1): (3, 3), (0, 2): (-1, 4)}, (1, 1),
+         (-3, 6), 40)
+@example(QQ, {(2, 0): (-5, 2), (1, 1): (3, 3), (0, 2): (-1, 4)}, (1, 1),
+         (-3, 6), 3)
+@example(QQ, {(2, 0): (-5, 2), (0, 3): (-1, 4), (1, 1): (3, -3),
+              (3, 1): (7, 5)}, (3, 2), (5, 1), 40)
+@example(QQ, {(2, 0): (-5, 2), (0, 3): (-1, 4), (1, 1): (3, -3),
+              (3, 1): (7, 5)}, (3, 2), (5, 1), 9)
+@example(field_ctx(7, 2), {(2, 0): (3, 1), (0, 3): (-2, 3), (4, 1): (1, -1)},
+         (2, 5), (3, 2), 40)
+@example(field_ctx(7, 2), {(2, 0): (3, 1), (0, 3): (-2, 3), (4, 1): (1, -1)},
+         (2, 5), (0, 1), 6)
 @given(st.sampled_from(CHART_CTXS),
        st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                        st.tuples(st.integers(-6, 6), st.integers(-3, 3)),
@@ -285,3 +301,37 @@ def test_ex1_chart_sizes(monkeypatch, p, first, second):
     t = build_tree(parse_poly(EX1, ctx), ctx)
     assert seen == [(3, 2, *first), (2, 13, *second)]
     assert tree_multiplicity(t).M == -155
+
+
+def test_apply_over_q_costs_one_product_per_input_and_output_term(
+        monkeypatch):
+    # EX1's second chart over Q maps 73 terms to 4,452 with shifts up to
+    # (Y + mu_bar)^170; each (term, k) pair costs int arithmetic only
+    seen = []
+    apply = HNMap.apply
+
+    def recording(self, f, n=None):
+        seen.append((self, f))
+        return apply(self, f, n)
+
+    monkeypatch.setattr(HNMap, "apply", recording)
+    build_tree(parse_poly(EX1, QQ), QQ)
+    monkeypatch.undo()
+    m, f = seen[1]
+    e_max = max(m.A * i + m.B * j for i, j in f.c)
+    calls = {"mul": 0, "add": 0, "from_int": 0}
+
+    def counted(name):
+        method = getattr(RationalCtx, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(RationalCtx, name, counted(name))
+    w = m.apply(f)
+    assert (len(f.c), e_max, len(w.c)) == (73, 170, 4452)
+    assert calls["mul"] <= len(f.c) + 2 * e_max + len(w.c) + 2
+    assert calls["add"] == calls["from_int"] == 0
