@@ -24,6 +24,8 @@ from .tree import (build_tree, minimalize, tree_multiplicity, tree_to_ascii,
                    tree_to_dot)
 
 _FORMATS = ("text", "json", "dot")
+# check tests every integer of its range A..B for primality
+PRIME_RANGE_LIMIT = 10 ** 5
 
 
 class RunConfig:
@@ -192,6 +194,9 @@ def _cmd_check(cfg):
     if cfg.p:
         raise InputError("check sweeps primes itself; drop -p")
     a, b = _parse_prime_range(cfg.primes)
+    if b - a > PRIME_RANGE_LIMIT:
+        raise InputError(f"prime range {a}..{b} is wider than "
+                         f"PRIME_RANGE_LIMIT = {PRIME_RANGE_LIMIT}")
     ps = [n for n in range(a, b + 1) if is_prime(n)]
     if not ps:
         raise InputError(f"no primes in {a}..{b}")

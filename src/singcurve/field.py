@@ -47,6 +47,9 @@ _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # rational roots are found among quotients of divisors of the end
 # coefficients, which are listed by trial division up to their square root
 RATIONAL_ROOT_LIMIT = 10 ** 12
+# field_ctx's largest degree k (adjoin_splitting's fields are not capped):
+# the modulus search takes about a second at k = 8 for the largest prime
+EXT_DEGREE_LIMIT = 8
 
 
 def is_prime(n):
@@ -511,7 +514,11 @@ class ExtFieldCtx(FieldCtx):
 
 
 def field_ctx(p=0, k=1, modulus=None, seed=0):
-    """Context factory: p == 0 gives Q, k == 1 gives F_p, else F_{p^k}."""
+    """Context factory: p == 0 gives Q, k == 1 gives F_p, else F_{p^k}
+    for k up to EXT_DEGREE_LIMIT."""
+    if not 1 <= k <= (EXT_DEGREE_LIMIT if p else 1):
+        raise InputError(f"extension degree {k} is outside 1.." + (
+            f"EXT_DEGREE_LIMIT = {EXT_DEGREE_LIMIT}" if p else "1 over Q"))
     if p == 0:
         return RationalCtx(seed)
     if k == 1:

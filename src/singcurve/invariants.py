@@ -14,7 +14,8 @@ from .errors import (DisconnectedNodes, InputError, InternalError,
                      OrderMismatch, ParityViolation, PrecisionExhausted)
 from .field import uni_order
 from .hn import hn_map
-from .poly import clip_total, gcd_bipoly, vanishes_at_origin
+from .poly import (_clip_rows, _to_yrows, clip_total, gcd_bipoly,
+                   vanishes_at_origin)
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity
 
 INF = math.inf
@@ -378,17 +379,14 @@ def _horner_s(ctx, rows, s, o, n, dn):
 def _solve_smooth(w, n):
     """Series s with w(t, s(t)) = 0 mod t^n, for w of Y-order one at X=0.
 
-    Newton iteration on the chart curve with x = t: row j of w is the
-    dense series sum_i c_ij t^i, cut to length n - j since ord s >= 1.
+    Newton iteration on the chart curve with x = t: row j of w, the series
+    sum_i c_ij t^i, is cut at length n - j since ord s >= 1.
     """
     ctx = w.ctx
     order = uni_order(ctx, w.subs_x0())
     if order != 1:
         raise InternalError(f"chart curve has Y-order {order}, wanted 1")
-    rows = [_ser_zero(ctx, n - j) for j in range(min(w.deg_y(), n - 1) + 1)]
-    for (i, j), v in w.c.items():
-        if i + j < n:
-            rows[j][i] = v
+    rows = _clip_rows(ctx, _to_yrows(w), n)[0]
     s = _ser_zero(ctx, n)
     prec = 1
     while prec < n:

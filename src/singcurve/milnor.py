@@ -19,18 +19,20 @@ exact gcd tell infinity (a shared branch) from a fault.
 
 A round holds each polynomial as dense y-rows: row j lists the
 x-coefficients of y^j and is at most n - acc - j long, so the cut is each
-row's length.  A step g_j -= q(x) f_j runs over all rows in one context
-kernel, FieldCtx.sub_mul_rows, the same in every field: it packs q, the
-f_j and the g_j into big ints and does one product per row (Kronecker
-substitution, see the field module).
+row's length.  local_intersection builds the two row sets once per call,
+and each round clips them to its own precision.  A step g_j -= q(x) f_j
+runs over all rows in one context kernel, FieldCtx.sub_mul_rows, the same
+in every field: it packs q, the f_j and the g_j into big ints and does one
+product per row (Kronecker substitution, see the field module).
 """
 
 from .errors import InternalError, NotAUnit, TruncationUnstable
 from .field import uni_deg, uni_divmod, uni_gcd, uni_order, uni_trim
 from .invariants import INF, rho
 from .newton import face_line, newton_polygon
-from .poly import (BiPoly, _rows_trim, _to_yrows, clip_total, gcd_bipoly,
-                   partials, reduce_mod, reduced_check, vanishes_at_origin)
+from .poly import (BiPoly, _clip_rows, _rows_strip, _rows_trim, _to_yrows,
+                   clip_total, gcd_bipoly, partials, reduce_mod,
+                   reduced_check, vanishes_at_origin)
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity, \
     vertex_report
 
@@ -58,24 +60,9 @@ def _sub_mul_clip(ctx, g, f, q, n):
     return _rows_trim(g), dropped
 
 
-def _clip_rows(ctx, rows, c):
-    """Rows cut at total degree c (row j at most c - j long), and whether
-    a term fell."""
-    fell = len(rows) > c
-    rows = rows[:c]
-    for j, r in enumerate(rows):
-        if len(r) > c - j:
-            rows[j], fell = uni_trim(ctx, r[:c - j]), True
-    return _rows_trim(rows), fell
-
-
-def _is_unit(ctx, rows):
-    """The polynomial of these rows does not vanish at the origin."""
-    return bool(rows[0]) and not ctx.is_zero(rows[0][0])
-
-
-def _reduce_pair(f, g, n):
-    """One reduction round at precision n: the value, INF or None.
+def _reduce_pair(ctx, f, g, n):
+    """One reduction round at precision n on the y-rows f and g: the
+    value, INF or None.
 
     With acc collected so far, each step is cut at total degree n - acc
     and both row sets are clipped to that cut whenever acc grows.  A drop
@@ -85,43 +72,32 @@ def _reduce_pair(f, g, n):
     caller doubles n) once acc reaches n.  A common-branch signal (an axis
     dividing both, or one argument a multiple of the other) is a certified
     infinity only in a round that never cut anything.  Row j of a y-row
-    set holds the x-coefficients of y^j and is at most n - acc - j long.
+    set holds the x-coefficients of y^j and is at most n - acc - j long;
+    the argument rows are not changed.
     """
-    ctx = f.ctx
     acc = 0
     width = n  # the cut the rows are clipped to
-    f, fc = _to_yrows(f, n)
-    g, gc = _to_yrows(g, n)
+    (f, fc), (g, gc) = (_clip_rows(ctx, r, n) for r in (f, g))
     cut = fc or gc  # some term fell: no INF, and the value must stay < n
     if not f or not g:
         return None
     while True:
         for first in (True, False):
-            h = f if first else g
-            other = g if first else f
-            # the x-order is 0 as soon as one row has a constant term
-            a = 0 if any(r and not ctx.is_zero(r[0]) for r in h) else min(
-                uni_order(ctx, r) for r in h if r)
-            b = next(j for j, r in enumerate(h) if r)
+            a, b, h = _rows_strip(ctx, f if first else g)
             if a or b:
-                # other(0, y) and other(x, 0)
-                rests = ((a, [r[0] if r else ctx.zero for r in other]),
-                         (b, other[0]))
-                for mult, rest in rests:
-                    if not mult:
-                        continue
-                    o = uni_order(ctx, rest)
+                other = g if first else f
+                # x^a costs the order of other(0, y), y^b that of other(x, 0)
+                for mult, rest in ((a, [r[0] if r else ctx.zero
+                                        for r in other]), (b, other[0])):
+                    o = mult and uni_order(ctx, rest)
                     if o is None:
                         # an axis divides both: proof of a common branch
                         # when nothing was cut, inconclusive otherwise
                         return None if cut else INF
                     acc += mult * o
-                h = [r[a:] for r in h[b:]]
-                if first:
-                    f = h
-                else:
-                    g = h
-        if _is_unit(ctx, f) or _is_unit(ctx, g):
+                f, g = (h, g) if first else (f, h)
+        # the strips left both rows 0 nonempty: is f or g a unit?
+        if not (ctx.is_zero(f[0][0]) and ctx.is_zero(g[0][0])):
             return acc if not cut or acc < n else None
         # an exact run has acc <= value, so a finite value still certifies
         # once n outgrows it; a cut run's certificate is dead
@@ -129,8 +105,7 @@ def _reduce_pair(f, g, n):
             return None
         if n - acc < width:
             width = n - acc
-            f, fc = _clip_rows(ctx, f, width)
-            g, gc = _clip_rows(ctx, g, width)
+            (f, fc), (g, gc) = (_clip_rows(ctx, r, width) for r in (f, g))
             if fc or gc:
                 cut = True
                 if not f or not g:
@@ -169,12 +144,12 @@ def local_intersection(g, h):
     # BiPoly keeps coefficients as given; the packed kernel needs canonical
     # elements, and ctx.add puts any element in its canonical form
     ctx = g.ctx
-    g, h = (BiPoly(ctx, {k: ctx.add(ctx.zero, v) for k, v in e.c.items()})
-            for e in (g, h))
+    gr, hr = ([[ctx.add(ctx.zero, v) for v in r] for r in _to_yrows(e)]
+              for e in (g, h))
     bound = max(i + j for i, j in g.c) * max(i + j for i, j in h.c)
     n = _REDUCE_START
     while True:
-        v = _reduce_pair(g, h, n)
+        v = _reduce_pair(ctx, gr, hr, n)
         if v is not None:
             return LocalMult(v)
         if n > bound:

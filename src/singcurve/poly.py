@@ -9,12 +9,11 @@ parser accepts back, except for non-integer rationals.
 
 import functools
 import itertools
-import math
 
 from .errors import ParseError, ZeroPolynomial
 from .field import (ExtFieldCtx, PrimeFieldCtx, embedding, uni_add, uni_deg,
-                    uni_eval, uni_gcd, uni_mul, uni_quo, uni_scale, uni_sub,
-                    uni_trim)
+                    uni_eval, uni_gcd, uni_mul, uni_order, uni_quo, uni_scale,
+                    uni_sub, uni_trim)
 
 
 class BiPoly:
@@ -362,28 +361,44 @@ def poly_str(f):
 # bivariate gcd and the reduced test
 
 
-def _to_yrows(f, n=math.inf):
+def _to_yrows(f):
     """BiPoly -> list over y-degree of univariate-in-x coefficient lists
-    without trailing zeros, keeping total degree < n, and whether any
-    monomial fell; row j of the result is at most n - j long."""
+    without trailing zeros: row j holds the x-coefficients of y^j."""
     ctx = f.ctx
     rows = [[] for _ in range(f.deg_y() + 1)]
-    cut = False
     for (i, j), v in f.c.items():
-        if i + j >= n:
-            cut = True
-            continue
         row = rows[j]
         if len(row) <= i:
             row.extend([ctx.zero] * (i + 1 - len(row)))
         row[i] = v
-    return _rows_trim([uni_trim(ctx, r) for r in rows]), cut
+    return _rows_trim([uni_trim(ctx, r) for r in rows])
 
 
 def _rows_trim(rows):
     while rows and not rows[-1]:
         rows.pop()
     return rows
+
+
+def _clip_rows(ctx, rows, c):
+    """The rows of clip_total: cut at total degree c >= 0, so row j is at
+    most c - j long, and whether a term fell; rows is not changed."""
+    fell = len(rows) > c
+    rows = rows[:c]
+    for j, r in enumerate(rows):
+        if len(r) > c - j:
+            rows[j], fell = uni_trim(ctx, r[:c - j]), True
+    return _rows_trim(rows), fell
+
+
+def _rows_strip(ctx, rows):
+    """(a, b, rows / x^a y^b) for nonzero rows, x^a y^b the largest
+    monomial dividing them; the rows themselves when a = b = 0."""
+    # the x-order is 0 as soon as one row has a constant term
+    a = 0 if any(r and not ctx.is_zero(r[0]) for r in rows) else min(
+        uni_order(ctx, r) for r in rows if r)
+    b = next(j for j, r in enumerate(rows) if r)
+    return a, b, [r[a:] for r in rows[b:]] if a or b else rows
 
 
 def _rows_content(ctx, rows):
@@ -509,12 +524,11 @@ def gcd_bipoly(f, g):
     ctx = f.ctx
     if f.is_zero() or g.is_zero():
         return _lead_one(g if f.is_zero() else f)
-    fr, gr = ([r[h.x_mult():] for r in _to_yrows(h)[0][h.y_mult():]]
-              for h in (f, g))
-    a, b = min(f.x_mult(), g.x_mult()), min(f.y_mult(), g.y_mult())
+    (af, bf, fr), (ag, bg, gr) = (_rows_strip(ctx, _to_yrows(h))
+                                  for h in (f, g))
     cont = _rows_content(ctx, fr + gr)
     return _gcd_primitive(ctx, fr, gr) * BiPoly(
-        ctx, {(i + a, b): v for i, v in enumerate(cont)})
+        ctx, {(i + min(af, ag), min(bf, bg)): v for i, v in enumerate(cont)})
 
 
 def reduce_mod(f, p):

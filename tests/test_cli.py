@@ -213,6 +213,30 @@ def test_input_errors_exit_2():
         assert out.startswith("input error:")
 
 
+def test_extension_degree_and_prime_range_limits_exit_2(monkeypatch):
+    # -k is 1 over Q and capped over F_p; a prime range wider than
+    # PRIME_RANGE_LIMIT fails before a single primality test
+    import singcurve.cli as cli
+
+    for argv, word in (
+            (["mu", "-p", "0", "-k", "3", "-f", "x^2 - y^3"], "over Q"),
+            (["mu", "-p", "5", "-k", "0", "-f", "x^2 - y^3"],
+             "EXT_DEGREE_LIMIT"),
+            (["mu", "-p", "2", "-k", "80", "-f", "x^2 - y^3"],
+             "EXT_DEGREE_LIMIT")):
+        code, out = run(config_from_argv(argv))
+        assert code == 2 and word in out, (argv, out)
+
+    def no_test(n):
+        raise AssertionError("primality tested")
+
+    monkeypatch.setattr(cli, "is_prime", no_test)
+    wide = f"2..{2 + cli.PRIME_RANGE_LIMIT + 1}"
+    for primes in (wide, "2..100000000000"):
+        code, out = run(RunConfig("check", f_text="x^2 - y^3", primes=primes))
+        assert code == 2 and "PRIME_RANGE_LIMIT" in out, out
+
+
 def test_internal_errors_exit_3(monkeypatch):
     import singcurve.cli as cli
 

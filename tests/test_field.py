@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from singcurve.errors import (Char0IrreducibleRemainder, DivisionByZero,
                               InputError)
-from singcurve.field import (PRIME_TEST_LIMIT, ExtFieldCtx, adjoin_splitting,
-                             embedding, field_ctx, is_prime, uni_deg,
-                             uni_divmod, uni_eval, uni_factor, uni_gcd,
-                             uni_mul, uni_rational_roots, uni_squarefree,
-                             uni_trim)
+from singcurve.field import (EXT_DEGREE_LIMIT, PRIME_TEST_LIMIT, ExtFieldCtx,
+                             adjoin_splitting, embedding, field_ctx, is_prime,
+                             uni_deg, uni_divmod, uni_eval, uni_factor,
+                             uni_gcd, uni_mul, uni_rational_roots,
+                             uni_squarefree, uni_trim)
 from singcurve.poly import BiPoly, _rows_trim, _to_yrows, clip_total
 
 from oracles import (brute_roots, full_product, series_product, small_elem,
@@ -112,12 +112,12 @@ def _check_sub_mul_rows(ctx, f, g, q, n):
         BiPoly(ctx, {(k, 0): c for k, c in enumerate(q)}),
         clip_total(f, n)[0], n)
     want = clip_total(g, n)[0] - want
-    fr, gr = _to_yrows(f, n)[0], _to_yrows(g, n)[0]
+    fr, gr = _to_yrows(clip_total(f, n)[0]), _to_yrows(clip_total(g, n)[0])
     before = [list(r) for r in fr], [list(r) for r in gr]
     rows, cut = ctx.sub_mul_rows(gr, fr, q, n)
     assert (fr, gr) == before
     assert cut == want_cut
-    assert _rows_trim(rows) == _to_yrows(want)[0]
+    assert _rows_trim(rows) == _to_yrows(want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,6 +204,22 @@ def test_mul_series_matches_the_naive_product(case):
 def test_is_prime_against_trial(n):
     naive = n >= 2 and all(n % d for d in range(2, n))
     assert is_prime(n) == naive
+
+
+def test_field_ctx_checks_the_extension_degree():
+    # k is 1 over Q and lies in 1..EXT_DEGREE_LIMIT over F_p; the check
+    # comes before any modulus search
+    for p, k, word in ((0, 3, "over Q"), (0, 0, "over Q"),
+                       (5, 0, "EXT_DEGREE_LIMIT"), (5, -1, "EXT_DEGREE_LIMIT"),
+                       (2, EXT_DEGREE_LIMIT + 1, "EXT_DEGREE_LIMIT"),
+                       (2, 10 ** 9, "EXT_DEGREE_LIMIT")):
+        with pytest.raises(InputError, match=word):
+            field_ctx(p, k)
+    assert field_ctx(2, EXT_DEGREE_LIMIT).ext_degree == EXT_DEGREE_LIMIT
+    # a splitting field is not capped: x^9 + x^4 + 1 is irreducible over F_2
+    big, _, roots = adjoin_splitting([1, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+                                     field_ctx(2))
+    assert big.ext_degree == 9 > EXT_DEGREE_LIMIT and len(roots) == 9
 
 
 def test_is_prime_on_strong_pseudoprimes_and_the_limit():

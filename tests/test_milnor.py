@@ -18,7 +18,8 @@ from singcurve.invariants import INF, intersect_param, intersect_tree, mu_bar
 from singcurve.milnor import _reduce_pair, check_conjecture, is_nd_face, \
     is_nnd, local_intersection, milnor_number, polar_intersection
 from singcurve.newton import newton_polygon
-from singcurve.poly import BiPoly, clip_total, parse_poly, partials
+from singcurve.poly import BiPoly, _to_yrows, clip_total, parse_poly, \
+    partials
 
 from curves import EX1, EX2, four_lines
 from oracles import dict_reduce_pair, dict_reduce_pair_fixed_cut, \
@@ -33,6 +34,11 @@ def _q(text):
 
 def _f(text, p):
     return parse_poly(text, field_ctx(p))
+
+
+def _reduce(f, g, n):
+    # one round of _reduce_pair on the y-rows of two BiPolys
+    return _reduce_pair(f.ctx, _to_yrows(f), _to_yrows(g), n)
 
 
 def test_local_intersection_basics():
@@ -153,7 +159,7 @@ def test_reduce_pair_matches_the_dict_oracle(ctx, fg, gg, ht, shape):
     # budget is spent, but past n = 64 that still takes seconds
     f, g = _shaped_pair(ctx, fg, gg, ht, shape)
     for n in (32, 64) if shape == "shared" else (32, 64, 128):
-        assert _reduce_pair(f, g, n) == dict_reduce_pair(f, g, n), n
+        assert _reduce(f, g, n) == dict_reduce_pair(f, g, n), n
 
 
 @settings(max_examples=300, deadline=None)
@@ -180,7 +186,7 @@ def test_reduce_pair_on_a_cut_common_branch(f, g, p):
     # n = 32, infinity at n = 64 where nothing is cut
     f, g = _f(f, p), _f(g, p)
     for n, want in ((32, None), (64, INF)):
-        assert _reduce_pair(f, g, n) == dict_reduce_pair(f, g, n) == want
+        assert _reduce(f, g, n) == dict_reduce_pair(f, g, n) == want
 
 
 def test_reduce_pair_clips_the_rows_to_the_budget():
@@ -189,7 +195,7 @@ def test_reduce_pair_clips_the_rows_to_the_budget():
     # value 29 < 32 still certifies
     f, g = _f("y^4 + x^5 + x^2y^2", 2), _f("y^7 + x^7", 2)
     for n in (32, 64):
-        assert _reduce_pair(f, g, n) == dict_reduce_pair(f, g, n) == 29
+        assert _reduce(f, g, n) == dict_reduce_pair(f, g, n) == 29
 
 
 def test_reduce_pair_trims_zero_tuples_after_a_clip():
@@ -199,7 +205,7 @@ def test_reduce_pair_trims_zero_tuples_after_a_clip():
     ctx = field_ctx(2, 3)
     f = parse_poly("(g+1)x^8y^8 + x^8 + x^6y^9 + (g+1)xy^2 + y^12", ctx)
     g = parse_poly("x^10 + y^10", ctx)
-    assert _reduce_pair(f, g, 32) == dict_reduce_pair(f, g, 32) == 30
+    assert _reduce(f, g, 32) == dict_reduce_pair(f, g, 32) == 30
 
 
 def test_a_cut_round_never_returns_its_precision():
@@ -210,13 +216,29 @@ def test_a_cut_round_never_returns_its_precision():
     fx, fy = partials(f)
     assert dict_reduce_pair_fixed_cut(fx, fy, 128) == 157
     for n, want in ((128, None), (256, 157)):
-        assert _reduce_pair(fx, fy, n) == dict_reduce_pair(fx, fy, n) == want
+        assert _reduce(fx, fy, n) == dict_reduce_pair(fx, fy, n) == want
     # over F_2 these partials have i = 34; the fixed cut's certificate,
     # (value - acc at the first cut) < n, would pass 41 at n = 32 on the
     # budgeted round
     fx, fy = partials(_f("y^5 + x^2 + x^5y^2 + x^9y", 2))
     for n, want in ((32, None), (64, 34)):
-        assert _reduce_pair(fx, fy, n) == dict_reduce_pair(fx, fy, n) == want
+        assert _reduce(fx, fy, n) == dict_reduce_pair(fx, fy, n) == want
+
+
+def test_local_intersection_builds_the_rows_once(monkeypatch):
+    # the EX1 times unit partials at p = 3 take four rounds, n = 32 to 256;
+    # each argument becomes y-rows once per call, not once per round
+    ctx = field_ctx(3)
+    f = parse_poly(EX1, ctx) * parse_poly("1 + x + y + x y", ctx)
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return _to_yrows(h)
+
+    monkeypatch.setattr(milnor, "_to_yrows", counted)
+    assert local_intersection(*partials(f)).value == 157
+    assert len(calls) == 2
 
 
 def test_a_cut_round_on_a_shared_branch_stops_early():
@@ -227,7 +249,7 @@ def test_a_cut_round_on_a_shared_branch_stops_early():
     f = parse_poly("y^11 + x^11 + (2+2g)x^5y", ctx) * h
     g = parse_poly("y^5 + x^10 + x^3y^2", ctx) * h
     start = time.process_time()
-    assert _reduce_pair(f, g, 64) is None
+    assert _reduce(f, g, 64) is None
     assert time.process_time() - start < 1
 
 

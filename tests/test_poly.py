@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from singcurve import poly
 from singcurve.errors import ParseError, ZeroPolynomial
 from singcurve.field import field_ctx
-from singcurve.poly import (BiPoly, gcd_bipoly, parse_poly, partials,
-                            poly_str, reduced_check, vanishes_at_origin)
+from singcurve.poly import (BiPoly, clip_total, gcd_bipoly, parse_poly,
+                            partials, poly_str, reduced_check,
+                            vanishes_at_origin)
 
 from oracles import full_product, gcd_prs, small_elem, substitute
 
@@ -260,6 +261,33 @@ def test_gcd_bipoly_matches_the_prs(ctx, ht, at, bt, ma, mb):
     f = h * a * BiPoly.monomial(ctx, *ma)
     g = h * b * BiPoly.monomial(ctx, *mb)
     assert gcd_bipoly(f, g) == gcd_prs(f, g)
+
+
+ROW_CTXS = [F2, field_ctx(3), field_ctx(32003), field_ctx(2, 3),
+            field_ctx(7, 2), QQ]
+_row_terms = st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 8)),
+                             st.tuples(st.integers(-4, 4), st.integers(0, 3)),
+                             max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ROW_CTXS), _row_terms, st.integers(0, 24))
+def test_row_cut_and_strip_match_the_bipoly(ctx, terms, n):
+    # the one total-degree cut and the one monomial strip on y-rows
+    # against clip_total, x_mult and y_mult on the BiPoly
+    f = _from_terms(ctx, terms)
+    rows = poly._to_yrows(f)
+    before = [list(r) for r in rows]
+    clipped, fell = clip_total(f, n)
+    assert poly._clip_rows(ctx, rows, n) == (poly._to_yrows(clipped), fell)
+    assert rows == before
+    if f.is_zero():
+        return
+    a, b = f.x_mult(), f.y_mult()
+    quotient = BiPoly(ctx, {(i - a, j - b): v for (i, j), v in f.c.items()})
+    got = poly._rows_strip(ctx, rows)
+    assert got == (a, b, poly._to_yrows(quotient))
+    assert (got[2] is rows) == (a == b == 0)
 
 
 _reduced_terms = st.dictionaries(
