@@ -2,10 +2,12 @@
 
 An element of F_p is an int in [0, p); an element of F_{p^k} with k > 1 is a
 length-k tuple of ints (coefficients of the generator g, constant term first);
-a rational is a fractions.Fraction.  A FieldCtx interprets these values and
-carries all arithmetic.  Univariate polynomials are little-endian coefficient
-lists with no trailing zeros ([] is the zero polynomial), handled by the
-uni_* functions, which all take the context as first argument.
+a rational is an int when it is integral and a fractions.Fraction only when
+it has a denominator, never a float, so integral work over Q runs at int
+cost.  A FieldCtx interprets these values and carries all arithmetic.
+Univariate polynomials are little-endian coefficient lists with no trailing
+zeros ([] is the zero polynomial), handled by the uni_* functions, which all
+take the context as first argument.
 
 The context kernels sub_mul_rows (the Milnor reduction's step) and
 mul_series (the truncated series product) are written once, in FieldCtx, as
@@ -262,33 +264,39 @@ class FieldCtx:
                      self.ext_degree, self.modulus))
 
 
+def _canon(c):
+    """The rational c as an int when it is integral, else as a Fraction."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 class RationalCtx(FieldCtx):
-    """The rationals; elements are Fractions."""
+    """The rationals; an element is an int when it is integral and a
+    Fraction only when it has a denominator, never a float."""
 
     characteristic = 0
     ext_degree = 1
     order = None
     modulus = None
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __init__(self, seed=0):
         self.seed = seed
 
     def from_int(self, n):
-        return Fraction(n)
+        return _canon(n)
 
     def add(self, a, b):
-        return a + b
+        return _canon(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canon(a - b)
 
     def neg(self, a):
-        return -a
+        return _canon(-a)
 
     def mul(self, a, b):
-        return a * b
+        return _canon(a * b)
 
     def is_zero(self, a):
         return not a
@@ -296,7 +304,7 @@ class RationalCtx(FieldCtx):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        return 1 / Fraction(a)
+        return _canon(1 / Fraction(a))
 
     # the codec of the packed kernels: rows over their common denominator;
     # entries may be Fractions or ints, and the shared zero, which series
@@ -310,11 +318,13 @@ class RationalCtx(FieldCtx):
         return ints, d, max((max(map(abs, r)) for r in ints if r), default=0)
 
     def _elems(self, slots, half, d):
-        zero = self.zero
-        return [zero if c == half else Fraction(c - half, d) for c in slots]
+        if d == 1:
+            return [c - half for c in slots]
+        return [0 if c == half else _canon(Fraction(c - half, d))
+                for c in slots]
 
     def rand_elem(self, rng):
-        return Fraction(rng.randint(-9, 9))
+        return rng.randint(-9, 9)
 
     def to_str(self, a):
         return str(a)
@@ -612,11 +622,39 @@ def uni_monic(ctx, f):
     return uni_scale(ctx, f, ctx.inv(f[-1]))
 
 
+def _primitive(ctx, f):
+    """Coprime ints proportional to f over Q; [] for []."""
+    (z,), _, _ = ctx._ints([f])
+    g = math.gcd(*z)
+    return [c // g for c in z]
+
+
 def uni_gcd(ctx, f, g):
-    a, b = list(f), list(g)
-    while b:
-        a, b = b, uni_rem(ctx, a, b)
-    return uni_monic(ctx, a)
+    """The monic gcd; [] when f and g are both zero.  Euclid over F_q; over
+    Q the primitive remainder sequence on integer rows (Collins 1967, Brown
+    1971), each pseudo-remainder divided by its content."""
+    if ctx.characteristic:
+        a, b = list(f), list(g)
+        while b:
+            a, b = b, uni_rem(ctx, a, b)
+        return uni_monic(ctx, a)
+    a, b = _primitive(ctx, f), _primitive(ctx, g)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, lb, n = a, b[-1], len(b)
+        while len(r) >= n:
+            # r := (lb r - lead(r) x^k b) / gcd(lb, lead(r)), the top cancels
+            h = math.gcd(lb, r[-1])
+            s, t, k = lb // h, r.pop() // h, len(r) - n + 1
+            r = [c * s for c in r[:k]] + [
+                c * s - t * e for c, e in zip(r[k:], b)]
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, _primitive(ctx, r)
+    if b:
+        return [1]
+    return [_canon(Fraction(c, a[-1])) for c in a]
 
 
 def uni_egcd(ctx, f, g):
@@ -811,19 +849,16 @@ def uni_rational_roots(ctx, f):
     while low < len(f) and f[low] == 0:
         low += 1
     if low:
-        roots.append((Fraction(0), low))
+        roots.append((0, low))
         f = f[low:]
     if uni_deg(f) < 1:
         return roots, list(f)
-    den = math.lcm(*[c.denominator for c in f])
-    zf = [int(c * den) for c in f]
-    cont = math.gcd(*zf)
-    zf = [c // cont for c in zf]
+    zf = _primitive(ctx, f)
     cands = set()
     for r in _int_divisors(zf[0]):
         for s in _int_divisors(zf[-1]):
-            cands.add(Fraction(r, s))
-            cands.add(Fraction(-r, s))
+            cands.add(_canon(Fraction(r, s)))
+            cands.add(_canon(Fraction(-r, s)))
     for cand in sorted(cands):
         m, f = uni_root_mult(ctx, f, cand)
         if m:

@@ -12,8 +12,8 @@ from sympy import GF, Poly, symbols
 
 from singcurve.errors import (BadOrder, InternalError, NotCoprime,
                              OrderMismatch, ParityViolation)
-from singcurve.field import (uni_divmod, uni_gcd, uni_mul, uni_order,
-                             uni_quo, uni_sub, uni_trim)
+from singcurve.field import (uni_divmod, uni_gcd, uni_monic, uni_mul,
+                             uni_order, uni_quo, uni_sub, uni_trim)
 from singcurve.hn import hn_map
 from singcurve.invariants import INF
 from singcurve.poly import BiPoly, clip_total, vanishes_at_origin
@@ -528,6 +528,16 @@ def gcd_prs(f, g):
     out = BiPoly(ctx, {(i, j): v for j, r in enumerate(a)
                        for i, v in enumerate(r)})
     return out.scale(ctx.inv(out.c[max(out.c)])) if out.c else out
+
+
+def euclid_gcd(ctx, f, g):
+    """Monic gcd by Euclid's algorithm through ctx, a field division at
+    every step: the reference for uni_gcd over Q, which runs a primitive
+    remainder sequence on integer rows instead."""
+    a, b = list(f), list(g)
+    while b:
+        a, b = b, uni_divmod(ctx, a, b)[1]
+    return uni_monic(ctx, a)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from singcurve.field import (EXT_DEGREE_LIMIT, PRIME_TEST_LIMIT, ExtFieldCtx,
                              uni_squarefree, uni_trim)
 from singcurve.poly import BiPoly, _rows_trim, _to_yrows, clip_total
 
-from oracles import (brute_roots, full_product, series_product, small_elem,
-                     sympy_factor_fp)
+from oracles import (brute_roots, euclid_gcd, full_product, series_product,
+                     small_elem, sympy_factor_fp)
 
 CTXS = [
     field_ctx(2), field_ctx(3), field_ctx(5), field_ctx(13),
@@ -89,8 +89,9 @@ def test_rational_inv_and_div_of_ints_are_fractions():
     QQ = field_ctx(0)
     for x in (QQ.inv(3), QQ.div(1, 3), QQ.div(2, 6)):
         assert type(x) is Fraction and x == Fraction(1, 3)
+    # an integral rational is an int, so the monic gcd of int rows is ints
     g = uni_gcd(QQ, [1, 2, 1], [1, 1])
-    assert g == [1, 1] and all(type(c) is Fraction for c in g)
+    assert g == [1, 1] and all(type(c) is int for c in g)
 
 
 # the largest prime whose primality is decided: its products need wide
@@ -161,6 +162,56 @@ def test_packed_sub_mul_rows_at_full_slots(case, n):
 
 SERIES_CTXS = KERNEL_CTXS + [field_ctx(3)]
 _big = st.integers(-10 ** 30, 10 ** 30)
+
+
+_q_elems = st.one_of(st.integers(-9, 9), _big,
+                    st.builds(Fraction, _big, st.integers(1, 10 ** 30)),
+                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+def _canonical(x):
+    # an int exactly when integral, a Fraction otherwise, never a float
+    return type(x) is (int if x == int(x) else Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_q_elems, _q_elems, _big, st.lists(_big, max_size=12),
+       st.integers(1, 10 ** 30))
+@example(Fraction(1, 2), Fraction(1, 2), 0, [0, 5, -6], 3)
+@example(Fraction(4, 2), Fraction(-3, 2), 7, [10 ** 30], 1)
+def test_rational_elements_are_ints_exactly_when_integral(a, b, n, cs, d):
+    QQ = field_ctx(0)
+    out = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a),
+           QQ.from_int(n)]
+    if a:
+        out.append(QQ.inv(a))
+    half = 2 ** 127
+    for den in (1, d):
+        got = QQ._elems([c + half for c in cs], half, den)
+        assert got == [Fraction(c, den) for c in cs]
+        out += got
+    assert out[:5] == [a + b, a - b, a * b, -a, n]
+    assert all(map(_canonical, out))
+
+
+_q_poly = st.lists(_q_elems, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_q_poly, _q_poly, _q_poly)
+@example([1, 1], [1, 1], [-1, 1])
+@example([Fraction(1, 2), 3], [], [Fraction(2, 3), 0, 5])
+def test_rational_gcd_matches_euclid_on_fractions(h, f, g):
+    # f and g share the planted factor h; the remainder sequence on
+    # integer rows gives Euclid's monic gcd, in canonical elements
+    QQ = field_ctx(0)
+    h, f, g = (uni_trim(QQ, list(r)) for r in (h, f, g))
+    f, g = uni_mul(QQ, h, f), uni_mul(QQ, h, g)
+    got = uni_gcd(QQ, f, g)
+    assert got == euclid_gcd(QQ, f, g)
+    assert all(map(_canonical, got))
+    if f or g:
+        assert got[-1] == 1 and len(got) >= len(h)
 
 
 def _series_entries(ctx):
@@ -447,6 +498,10 @@ def test_rational_roots():
     roots, rem = uni_rational_roots(qq, f)
     assert sorted(roots) == [(Fraction(-1, 3), 1), (Fraction(2), 2)]
     assert uni_deg(rem) == 2
+    # roots are canonical: 0 and integral roots are ints
+    roots, _ = uni_rational_roots(qq, uni_mul(qq, [0, 0, 1], f))
+    assert [(type(r), m) for r, m in sorted(roots)] == [
+        (Fraction, 1), (int, 2), (int, 2)]
     ctx2, _, rts = adjoin_splitting([Fraction(-1), Fraction(0), one], qq)  # t^2 - 1
     assert ctx2 is qq
     assert sorted(rts) == [(Fraction(-1), 1), (Fraction(1), 1)]

@@ -127,3 +127,32 @@ def test_context_kernels_are_written_once():
     for name in ("sub_mul_rows", "mul_series"):
         assert name in FieldCtx.__dict__
         assert [c.__name__ for c in subs if name in c.__dict__] == []
+
+
+class _Divisions(ast.NodeVisitor):
+    """The dotted class and function names of the scopes that use true
+    division, "" for one at module level."""
+
+    def __init__(self):
+        self.stack, self.found = [], set()
+
+    def _scope(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_ClassDef = visit_FunctionDef = _scope
+
+    def visit_Div(self, node):
+        self.found.add(".".join(self.stack))
+
+
+def test_true_division_only_inverts_a_fraction():
+    # a rational that is integral is an int, so a stray a / b on elements
+    # gives a float in silence; the one / divides 1 by a Fraction
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        divs = _Divisions()
+        divs.visit(ast.parse(path.read_text(), filename=str(path)))
+        found |= {(path.name, name) for name in divs.found}
+    assert found == {("field.py", "RationalCtx.inv")}

@@ -18,6 +18,7 @@ from singcurve.invariants import (INF, Parametrization, ZariskiSeq,
                                   tree_mu_bar, zariski_sequence)
 from singcurve.invariants import (_off_path_product, _parametrize_arrow,
                                   _ser_eval, _tree_path)
+from singcurve.milnor import local_intersection
 from singcurve.poly import BiPoly, parse_poly
 from singcurve.tree import build_tree, build_tree_multi, minimalize
 
@@ -340,6 +341,16 @@ def test_intersect_reducible_second_argument():
     line = _q("x + y")
     assert intersect_tree(_q("x y"), line) == 2
     assert intersect_param(line, _q("x y")) == 2
+
+
+def test_intersect_of_a_unit_times_ex1_with_ex2_over_q():
+    # the tree's reducedness checks run gcds of Q images; Euclid on
+    # Fractions took about 23 s here
+    f, g = _q(f"(1 + x + y + x y)({EX1})"), _q(EX2)
+    start = time.process_time()
+    assert intersect_tree(f, g) == 112
+    assert time.process_time() - start < 5
+    assert local_intersection(f, g).value == 112
 
 
 def test_intersect_over_prime_fields():

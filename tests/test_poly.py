@@ -15,6 +15,7 @@ from singcurve.poly import (BiPoly, clip_total, gcd_bipoly, parse_poly,
                             partials, poly_str, reduced_check,
                             vanishes_at_origin)
 
+from curves import EX1, EX2
 from oracles import full_product, gcd_prs, small_elem, substitute
 
 QQ = field_ctx(0)
@@ -216,6 +217,15 @@ def test_reduced_check():
     assert reduced_check(parse_poly("1 + x", QQ))[0]
     with pytest.raises(ZeroPolynomial):
         reduced_check(BiPoly.zero(QQ))
+
+
+def test_reduced_check_of_a_unit_times_ex1_ex2_over_q():
+    # gcd(f, f_x, f_y) of a degree-40 germ over Q; Euclid on Fractions in
+    # its image gcds took about 22 s here
+    f = parse_poly(f"(1 + x + y + x y)({EX1})({EX2})", QQ)
+    start = time.process_time()
+    assert reduced_check(f) == (True, None)
+    assert time.process_time() - start < 5
 
 
 def test_reduced_check_pth_power_in_extension():
