@@ -7,13 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from singcurve import field
 from singcurve.errors import (Char0IrreducibleRemainder, DivisionByZero,
                               InputError)
 from singcurve.field import (EXT_DEGREE_LIMIT, PRIME_TEST_LIMIT, ExtFieldCtx,
-                             adjoin_splitting, embedding, field_ctx, is_prime,
-                             uni_deg, uni_divmod, uni_eval, uni_factor,
-                             uni_gcd, uni_mul, uni_rational_roots,
-                             uni_squarefree, uni_trim)
+                             PrimeFieldCtx, adjoin_splitting, embedding,
+                             field_ctx, is_prime, uni_deg, uni_divmod,
+                             uni_eval, uni_factor, uni_gcd, uni_mul,
+                             uni_pow_mod, uni_rational_roots, uni_squarefree,
+                             uni_trim)
 from singcurve.poly import BiPoly, _rows_trim, _to_yrows, clip_total
 
 from oracles import (brute_roots, euclid_gcd, full_product, series_product,
@@ -326,6 +328,140 @@ def test_gcd_divides_both(ctx):
             assert uni_divmod(ctx, g, d)[1] == []
         if f and g and uni_deg(h) > 0:
             assert uni_deg(d) >= uni_deg(h)
+
+
+class _ElementBodies(PrimeFieldCtx):
+    """F_p through the element bodies of the univariate kernels, which
+    field.py runs for every context whose type is not PrimeFieldCtx."""
+
+
+def _kernel_case(p):
+    # non-canonical ints too: negative, p and its multiples, up to 3p
+    entry = st.one_of(st.integers(-2, 2), st.integers(-3 * p, 3 * p),
+                      st.sampled_from([p - 1, p, -p, 2 * p]))
+    poly = st.lists(entry, max_size=7)
+    return st.tuples(st.just(p), poly, poly,
+                     st.sampled_from([0, 1, p, p ** 3]), entry)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DivisionByZero:
+        return DivisionByZero
+
+
+@settings(max_examples=200, deadline=None)
+# 2^61 - 1 is prime
+@given(st.sampled_from([2, 3, 32003, 2 ** 61 - 1]).flatmap(_kernel_case))
+@example((3, [], [], 0, 0))
+@example((3, [], [1, 1], 3, 5))
+@example((5, [0, 0], [5, -5], 1, 0))
+@example((5, [7, -1], [3, 4, 1], 125, -6))
+@example((32003, [-1, 32003, 64007, 2], [5, -32004], 32003 ** 3, 64006))
+def test_prime_field_int_kernels_match_the_element_bodies(case):
+    # same results, or the same DivisionByZero, over F_p as ints and over
+    # F_p through the context's methods; the int bodies return canonical
+    # coefficients, where the element remainder keeps the coefficients a
+    # division never touches as they were given
+    p, f, g, e, x = case
+    ints, elems = field_ctx(p), _ElementBodies(p)
+    got, want = {}, {}
+    for out, ctx in ((got, ints), (want, elems)):
+        out["mul"] = uni_mul(ctx, f, g)
+        out["divmod"] = _outcome(uni_divmod, ctx, f, g)
+        out["gcd"] = _outcome(uni_gcd, ctx, f, g)
+        out["pow_mod"] = _outcome(uni_pow_mod, ctx, f, e, g)
+        out["eval"] = uni_eval(ctx, f, x)
+    if want["divmod"] is not DivisionByZero:
+        q, r = want["divmod"]
+        want["divmod"] = q, [c % p for c in r]
+    assert got == want
+    for key, out in got.items():
+        if out is not DivisionByZero:
+            flat = ([out] if key == "eval" else
+                    out[0] + out[1] if key == "divmod" else out)
+            assert all(0 <= c < p for c in flat), key
+
+
+def test_a_root_split_shares_the_frobenius_power(monkeypatch):
+    # over F_101 x^50 mod f gives x^101 = x (x^50)^2 for the degree-1 step
+    # and, as gcd(f, x^50 - 1), the split of the square root 4 from the
+    # non-square root 2: one powering where the parent's x^q and its first
+    # equal-degree power made two
+    ctx = field_ctx(101)
+    assert pow(4, 50, 101) == 1 and pow(2, 50, 101) == 100
+    powers = []
+    real = field.uni_pow_mod
+
+    def counted(*args):
+        powers.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(field, "uni_pow_mod", counted)
+    _, fac = uni_factor(ctx, uni_mul(ctx, [97, 1], [99, 1]))
+    assert fac == [([97, 1], 1), ([99, 1], 1)]
+    assert powers == [50]
+
+
+def _linear_factors(ctx, roots):
+    return sorted(([ctx.neg(r), ctx.one], 1) for r in roots)
+
+
+def _squares(ctx):
+    half = (ctx.order - 1) // 2
+    return [a for a in ctx.elements()
+            if not ctx.is_zero(a) and ctx.is_one(ctx.pow(a, half))]
+
+
+@pytest.mark.parametrize("ctx", [field_ctx(101), field_ctx(3, 2)], ids=repr)
+def test_factor_splits_roots_that_the_shared_power_does_not_part(ctx):
+    # when every root is a nonzero square, or 0 sits with the non-squares,
+    # the first try leaves a part whole and random (x + a)^((q - 1)/2)
+    # finish the split
+    squares = _squares(ctx)
+    others = [a for a in ctx.elements()
+              if not ctx.is_zero(a) and a not in squares]
+    cases = [squares[:4], squares[:2], [ctx.zero] + squares[:3],
+             [ctx.zero] + others[:3], [ctx.zero, squares[0], others[0]]]
+    for roots in cases:
+        f = [ctx.one]
+        for r in roots:
+            f = uni_mul(ctx, f, [ctx.neg(r), ctx.one])
+        _, fac = uni_factor(ctx, f)
+        want = sorted(_linear_factors(ctx, roots),
+                      key=lambda fm: field._flat(fm[0]))
+        assert fac == want
+        if ctx.ext_degree == 1:
+            assert sorted((tuple(g), m) for g, m in fac) == \
+                sympy_factor_fp(f, ctx.p)
+
+
+def test_factor_in_characteristic_two_is_unchanged():
+    # the trace map still splits; these are the parent's factorizations
+    f2 = field_ctx(2)
+    f = [1]
+    for g in ([0, 1], [1, 1], [1, 1], [1, 1, 1], [1, 1, 0, 1], [1, 0, 1, 1]):
+        f = uni_mul(f2, f, g)
+    assert uni_factor(f2, f) == (1, [
+        ([0, 1], 1), ([1, 1], 2), ([1, 1, 1], 1), ([1, 0, 1, 1], 1),
+        ([1, 1, 0, 1], 1)])
+    assert sympy_factor_fp(f, 2) == [
+        ((0, 1), 1), ((1, 0, 1, 1), 1), ((1, 1), 2), ((1, 1, 0, 1), 1),
+        ((1, 1, 1), 1)]
+    f8 = field_ctx(2, 3)
+    roots = list(f8.elements())
+    f = [f8.one]
+    for r in roots:
+        f = uni_mul(f8, f, [r, f8.one])
+    assert f == [f8.zero, f8.one] + [f8.zero] * 6 + [f8.one]  # x^8 - x
+    _, fac = uni_factor(f8, f)
+    assert fac == sorted(_linear_factors(f8, roots),
+                         key=lambda fm: field._flat(fm[0]))
+    g = f8.gen
+    quad = [g, f8.one, f8.one]  # x^2 + x + g: the trace of g is nonzero
+    _, fac = uni_factor(f8, uni_mul(f8, quad, [g, f8.one]))
+    assert fac == [([g, f8.one], 1), (quad, 1)]
 
 
 # --- factorization ---------------------------------------------------------

@@ -156,3 +156,44 @@ def test_true_division_only_inverts_a_fraction():
         divs.visit(ast.parse(path.read_text(), filename=str(path)))
         found |= {(path.name, name) for name in divs.found}
     assert found == {("field.py", "RationalCtx.inv")}
+
+
+_CONTEXT_CLASSES = {c.__name__ for c in (FieldCtx, *_subclasses(FieldCtx))}
+
+
+def _class_names(node):
+    """The class names an isinstance argument or a compared operand reads."""
+    if isinstance(node, ast.Tuple):
+        for e in node.elts:
+            yield from _class_names(e)
+    elif isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+
+
+def _context_type_tests(path):
+    """Lines that test a value against a context class: isinstance or
+    issubclass with one, or type(...) compared with one by is or ==."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id in ("isinstance", "issubclass")):
+            names = set(_class_names(n.args[-1]))
+        elif isinstance(n, ast.Compare) and any(
+                isinstance(x, ast.Call) and isinstance(x.func, ast.Name)
+                and x.func.id == "type" for x in (n.left, *n.comparators)):
+            names = {c for x in (n.left, *n.comparators)
+                     for c in _class_names(x)}
+        else:
+            continue
+        if names & _CONTEXT_CLASSES:
+            yield f"{path.name}:{n.lineno}"
+
+
+def test_only_field_py_tests_the_type_of_a_context():
+    # field.py picks the F_p int bodies of the univariate kernels from the
+    # type of the context; every other module stays generic over fields
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in _context_type_tests(path)]
+    assert found and all(h.startswith("field.py:") for h in found), found
