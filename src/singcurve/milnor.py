@@ -14,8 +14,15 @@ certifies its value A iff A < n:
   leaves the ideal unchanged; the drop at acc_t has c = n - acc_t and
   v = A - acc_t, so every drop is harmless iff A < n.
 
-n doubles until a round certifies; only past the Bezout bound does one
-exact gcd tell infinity (a shared branch) from a fault.
+A round at n certifies whenever the value is below n, so the precision
+starts from an estimate: the first round runs at n = E + 1, E the mixed
+area of the pair's Newton polygons after the monomial charges.  E is the
+value of a Newton non-degenerate pair and, on every pair measured, at
+most the value.  A failed round is followed by one at
+max(reach + 1, floor(3n/2) + 1), reach the acc it got to.  A pair sharing
+a branch certifies no finite value, so one exact gcd runs after the first
+failed round at n >= 4(E + 1); without a shared branch every round past
+the Bezout bound certifies, and one that does not is a fault.
 
 A round holds each polynomial as dense y-rows: row j lists the
 x-coefficients of y^j and is at most n - acc - j long, so the cut is each
@@ -60,7 +67,7 @@ def _sub_mul_clip(ctx, g, f, q, n):
     return _rows_trim(g), dropped
 
 
-def _reduce_pair(ctx, f, g, n):
+def _reduce_pair(ctx, f, g, n, reach=None):
     """One reduction round at precision n on the y-rows f and g: the
     value, INF or None.
 
@@ -68,71 +75,103 @@ def _reduce_pair(ctx, f, g, n):
     and both row sets are clipped to that cut whenever acc grows.  A drop
     at acc_t lies in m^(n - acc_t) while the pair after it has colength
     value - acc_t, so by the module's Nakayama argument a round that cut
-    anything is certified iff its value is < n; it gives up (None, the
-    caller doubles n) once acc reaches n.  A common-branch signal (an axis
-    dividing both, or one argument a multiple of the other) is a certified
-    infinity only in a round that never cut anything.  Row j of a y-row
-    set holds the x-coefficients of y^j and is at most n - acc - j long;
-    the argument rows are not changed.
+    anything is certified iff its value is < n; it gives up (None) once
+    acc reaches n.  A common-branch signal (an axis dividing both, or one
+    argument a multiple of the other) is a certified infinity only in a
+    round that never cut anything.  Row j of a y-row set holds the
+    x-coefficients of y^j and is at most n - acc - j long; the argument
+    rows are not changed.  A list reach gets the round's last acc
+    appended, the precision a failed round reached.
     """
     acc = 0
-    width = n  # the cut the rows are clipped to
-    (f, fc), (g, gc) = (_clip_rows(ctx, r, n) for r in (f, g))
-    cut = fc or gc  # some term fell: no INF, and the value must stay < n
-    if not f or not g:
-        return None
-    while True:
-        for first in (True, False):
-            a, b, h = _rows_strip(ctx, f if first else g)
-            if a or b:
-                other = g if first else f
-                # x^a costs the order of other(0, y), y^b that of other(x, 0)
-                for mult, rest in ((a, [r[0] if r else ctx.zero
-                                        for r in other]), (b, other[0])):
-                    o = mult and uni_order(ctx, rest)
-                    if o is None:
-                        # an axis divides both: proof of a common branch
-                        # when nothing was cut, inconclusive otherwise
-                        return None if cut else INF
-                    acc += mult * o
-                f, g = (h, g) if first else (f, h)
-        # the strips left both rows 0 nonempty: is f or g a unit?
-        if not (ctx.is_zero(f[0][0]) and ctx.is_zero(g[0][0])):
-            return acc if not cut or acc < n else None
-        # an exact run has acc <= value, so a finite value still certifies
-        # once n outgrows it; a cut run's certificate is dead
-        if acc >= n:
+    try:
+        width = n  # the cut the rows are clipped to
+        (f, fc), (g, gc) = (_clip_rows(ctx, r, n) for r in (f, g))
+        cut = fc or gc  # some term fell: no INF, and the value must stay < n
+        if not f or not g:
             return None
-        if n - acc < width:
-            width = n - acc
-            (f, fc), (g, gc) = (_clip_rows(ctx, r, width) for r in (f, g))
-            if fc or gc:
-                cut = True
-                if not f or not g:
-                    return None
-                # the clip may have left an axis factor to strip
-                continue
-        if len(f[0]) > len(g[0]):
-            f, g = g, f
-        # cancel g's whole y=0 restriction down to a remainder in one pass
-        q, _ = uni_divmod(ctx, g[0], f[0])
-        g, dropped = _sub_mul_clip(ctx, g, f, q, width)
-        cut = cut or dropped
-        if not g:
-            # g was a multiple of f: a common branch in the exact run
-            return None if cut else INF
+        while True:
+            for first in (True, False):
+                a, b, h = _rows_strip(ctx, f if first else g)
+                if a or b:
+                    other = g if first else f
+                    # x^a costs other(0, y)'s order, y^b that of other(x, 0)
+                    for mult, rest in ((a, [r[0] if r else ctx.zero
+                                            for r in other]), (b, other[0])):
+                        o = mult and uni_order(ctx, rest)
+                        if o is None:
+                            # an axis divides both: a common branch when
+                            # nothing was cut, inconclusive otherwise
+                            return None if cut else INF
+                        acc += mult * o
+                    f, g = (h, g) if first else (f, h)
+            # the strips left both rows 0 nonempty: is f or g a unit?
+            if not (ctx.is_zero(f[0][0]) and ctx.is_zero(g[0][0])):
+                return acc if not cut or acc < n else None
+            # an exact run has acc <= value, so a finite value still certifies
+            # once n outgrows it; a cut run's certificate is dead
+            if acc >= n:
+                return None
+            if n - acc < width:
+                width = n - acc
+                (f, fc), (g, gc) = (_clip_rows(ctx, r, width) for r in (f, g))
+                if fc or gc:
+                    cut = True
+                    if not f or not g:
+                        return None
+                    # the clip may have left an axis factor to strip
+                    continue
+            if len(f[0]) > len(g[0]):
+                f, g = g, f
+            # cancel g's whole y=0 restriction down to a remainder in one pass
+            q, _ = uni_divmod(ctx, g[0], f[0])
+            g, dropped = _sub_mul_clip(ctx, g, f, q, width)
+            cut = cut or dropped
+            if not g:
+                # g was a multiple of f: a common branch in the exact run
+                return None if cut else INF
+    finally:
+        if reach is not None:
+            reach.append(acc)
 
 
-_REDUCE_START = 32
+def _newton_estimate(ctx, f, g):
+    """E, the mixed area of the Newton polygons of the y-rows f and g
+    (Kouchnirenko 1976, Bernstein 1975), or INF when an axis divides both.
+
+    The monomial factors are charged as _reduce_pair charges them: x^a y^b
+    of f costs a times the y-order of g(0, y) plus b times the x-order of
+    g(x, 0), and then x^c y^d of g the same against f / x^a y^b.  What is
+    left meets both axes, and its mixed area sums, over a face pair with
+    K lattice steps and normal (p, q) each, K K' min(q p', q' p).  E is
+    i(f, g) for a Newton non-degenerate pair and at most i(f, g) on every
+    pair measured; nothing certified depends on it.
+    """
+    pf, pg = (newton_polygon(BiPoly(ctx, {
+        (i, j): v for j, r in enumerate(rows) for i, v in enumerate(r)}))
+        for rows in (f, g))
+    (a, b), (c, d) = (pf.i0, pf.j0), (pg.i0, pg.j0)
+    if a and c or b and d:
+        return INF
+    # when x divides f, the order of g(0, y) is the height of g's first
+    # vertex; when y does, that of g(x, 0) is the width of its last
+    e = (a * pg.vertices[0][1] + b * pg.vertices[-1][0]
+         + c * (pf.vertices[0][1] - b) + d * (pf.vertices[-1][0] - a))
+    return e + sum(s.K * t.K * min(s.q * t.p, t.q * s.p)
+                   for s in pf.faces for t in pg.faces)
 
 
 def local_intersection(g, h):
     """Intersection multiplicity of g and h at the origin.
 
-    Certified rounds come first; a finite value can never certify when the
-    pair shares a branch, so the expensive exact gcd runs only if no round
-    certifies below the Bezout bound deg(g)*deg(h), and then only to tell
-    infinity from a logic fault.
+    The first round runs at n = E + 1, E the mixed area of the pair's
+    Newton polygons (_newton_estimate), and certifies there when the value
+    is E; an axis dividing both is a shared branch before any round.  A
+    failed round is followed by one at max(reach + 1, floor(3n/2) + 1),
+    reach the acc it got to.  A finite value never certifies when the pair
+    shares a branch, so the exact gcd runs once, after the first failed
+    round at n >= 4(E + 1) or past the Bezout bound deg(g)*deg(h); a
+    round past that bound that still fails is a logic fault.
     """
     if g.ctx != h.ctx:
         raise InternalError("mixed coefficient contexts")
@@ -146,18 +185,23 @@ def local_intersection(g, h):
     ctx = g.ctx
     gr, hr = ([[ctx.add(ctx.zero, v) for v in r] for r in _to_yrows(e)]
               for e in (g, h))
+    est = _newton_estimate(ctx, gr, hr)
+    if est == INF:
+        return LocalMult(INF)
     bound = max(i + j for i, j in g.c) * max(i + j for i, j in h.c)
-    n = _REDUCE_START
-    while True:
-        v = _reduce_pair(ctx, gr, hr, n)
-        if v is not None:
-            return LocalMult(v)
-        if n > bound:
+    fence = min(4 * (est + 1), bound + 1)
+    reach = []
+    n = est + 1
+    while (v := _reduce_pair(ctx, gr, hr, n, reach)) is None:
+        if n >= fence:
             if vanishes_at_origin(gcd_bipoly(g, h)):
                 return LocalMult(INF)
+            fence = INF
+        if n > bound:
             raise InternalError(
                 "reduction failed to certify beyond the Bezout bound")
-        n *= 2
+        n = max(reach[-1] + 1, 3 * n // 2 + 1)
+    return LocalMult(v)
 
 
 def milnor_number(f, unit=None, trunc=None):

@@ -197,3 +197,32 @@ def test_only_field_py_tests_the_type_of_a_context():
     found = [hit for path in sorted(PACKAGE.glob("*.py"))
              for hit in _context_type_tests(path)]
     assert found and all(h.startswith("field.py:") for h in found), found
+
+
+def _environment_reads(path):
+    """(module, key) for each read of the process environment: os.environ
+    or os.getenv, with the key when it is a string literal, else None."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parents = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.alias) and n.name in ("environ", "getenv"):
+            yield path.name, None  # from os import environ
+        if not (isinstance(n, ast.Attribute)
+                and n.attr in ("environ", "getenv")):
+            continue
+        use = parents[n]
+        if isinstance(use, ast.Attribute) and use.attr == "get":
+            use = parents[use]  # os.environ.get(key)
+        key = (use.slice if isinstance(use, ast.Subscript)
+               else use.args[0] if isinstance(use, ast.Call) and use.args
+               else None)
+        yield path.name, (key.value if isinstance(key, ast.Constant)
+                          else None)
+
+
+def test_only_the_cli_seed_reads_the_environment():
+    # behaviour comes from arguments, not from the environment; the one
+    # exception is the CLI's default seed
+    found = {r for path in sorted(PACKAGE.glob("*.py"))
+             for r in _environment_reads(path)}
+    assert found == {("cli.py", "SINGCURVE_SEED")}

@@ -8,18 +8,18 @@ import sympy
 
 import time
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singcurve import invariants, milnor
-from singcurve.errors import NotAUnit, TruncationUnstable
+from singcurve.errors import InternalError, NotAUnit, TruncationUnstable
 from singcurve.field import field_ctx
 from singcurve.invariants import INF, intersect_param, intersect_tree, mu_bar
 from singcurve.milnor import _reduce_pair, check_conjecture, is_nd_face, \
     is_nnd, local_intersection, milnor_number, polar_intersection
 from singcurve.newton import newton_polygon
-from singcurve.poly import BiPoly, _to_yrows, clip_total, parse_poly, \
-    partials
+from singcurve.poly import BiPoly, _to_yrows, clip_total, gcd_bipoly, \
+    parse_poly, partials, vanishes_at_origin
 
 from curves import EX1, EX2, four_lines
 from oracles import dict_reduce_pair, dict_reduce_pair_fixed_cut, \
@@ -226,8 +226,9 @@ def test_a_cut_round_never_returns_its_precision():
 
 
 def test_local_intersection_builds_the_rows_once(monkeypatch):
-    # the EX1 times unit partials at p = 3 take four rounds, n = 32 to 256;
-    # each argument becomes y-rows once per call, not once per round
+    # the EX1 times unit partials at p = 3 take three rounds, n = 85, 128
+    # and 193; each argument becomes y-rows once per call, not once per
+    # round
     ctx = field_ctx(3)
     f = parse_poly(EX1, ctx) * parse_poly("1 + x + y + x y", ctx)
     calls = []
@@ -251,6 +252,129 @@ def test_a_cut_round_on_a_shared_branch_stops_early():
     start = time.process_time()
     assert _reduce(f, g, 64) is None
     assert time.process_time() - start < 1
+
+
+def _rounds(monkeypatch):
+    """The precisions of the _reduce_pair calls that follow, in order."""
+    ns, round_ = [], milnor._reduce_pair
+
+    def counted(ctx, f, g, n, *rest):
+        ns.append(n)
+        return round_(ctx, f, g, n, *rest)
+
+    monkeypatch.setattr(milnor, "_reduce_pair", counted)
+    return ns
+
+
+def test_a_round_reports_the_precision_it_reached():
+    # the partials over F_2 of test_a_cut_round_never_returns_its_precision:
+    # the round at n = 32 gives up with acc = 41, and the one at n = 64
+    # certifies 34, its last acc
+    fx, fy = (_to_yrows(h) for h in partials(
+        _f("y^5 + x^2 + x^5y^2 + x^9y", 2)))
+    reach = []
+    assert _reduce_pair(field_ctx(2), fx, fy, 32, reach) is None
+    assert _reduce_pair(field_ctx(2), fx, fy, 64, reach) == 34
+    assert reach == [41, 34]
+
+
+def _gcd_calls(monkeypatch):
+    """The first arguments of the gcd_bipoly calls that follow."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(a)
+        return gcd_bipoly(a, b)
+
+    monkeypatch.setattr(milnor, "gcd_bipoly", counted)
+    return calls
+
+
+def _estimate(f, g):
+    return milnor._newton_estimate(f.ctx, _to_yrows(f), _to_yrows(g))
+
+
+_monomial = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_germ, _germ, _factor, st.sampled_from(("pair", "partials")),
+       _monomial, _monomial)
+def test_the_newton_estimate_is_a_lower_bound_over_q(fg, gg, ht, shape, mf,
+                                                     mg):
+    # E, the mixed area after the monomial charges, never exceeds the
+    # certified value; x^a y^b factors exercise the charges
+    f, g = _shaped_pair(QQ, fg, gg, ht, shape)
+    f, g = f * BiPoly.monomial(QQ, *mf), g * BiPoly.monomial(QQ, *mg)
+    assume(not f.is_zero() and not g.is_zero())
+    assume(vanishes_at_origin(f) and vanishes_at_origin(g))
+    assert _estimate(f, g) <= local_intersection(f, g).value
+
+
+@pytest.mark.parametrize("f, g, p, value", [
+    ("x^2 - y^3", "x^3 - y^2", 0, 4),
+    # x y costs 5 + 2 against g, the cusp meets g with multiplicity 4
+    ("x y (y^2 - x^3)", "y^5 + x^2", 0, 11),
+    ("y^3 + x^7", "y^2 + x^3 + x y", 5, 9),
+    ("x^2 + y^2", "x y + y^4", 32003, 4),
+])
+def test_a_newton_non_degenerate_pair_takes_one_round(monkeypatch, f, g, p,
+                                                      value):
+    f, g = _f(f, p), _f(g, p)
+    ns = _rounds(monkeypatch)
+    assert _estimate(f, g) == value
+    assert local_intersection(f, g).value == value
+    assert ns == [value + 1]
+
+
+def test_ex1_partials_over_f7_take_at_most_three_rounds(monkeypatch):
+    # E = 77 against mu = 156; doubling from n = 32 took four rounds
+    ns = _rounds(monkeypatch)
+    assert milnor_number(_f(EX1, 7)) == 156
+    assert 1 <= len(ns) <= 3 and ns[0] == 78
+
+
+def _shared_branch_over_f8():
+    ctx = field_ctx(2, 3)
+    f = parse_poly("(g^2+g)x^11y^11 + (g^2+g)x^10y^13 + g x^3 + g x^2y^2"
+                   " + g xy + g y^3", ctx)
+    g = parse_poly("g^2x^13y^2 + g^2x^12y^4 + g x^6 + g x^5y^2 + g^2x^3y"
+                   " + g^2x^2y^3 + g xy^6 + g y^8", ctx)
+    return f, g
+
+
+def test_the_gcd_fence_stops_a_shared_branch_early(monkeypatch):
+    # Bezout bound 504: the rounds ran to n = 512 before the gcd, 6.3 s; the
+    # fence runs it once, after the first failed round at n >= 4(E + 1)
+    f, g = _shared_branch_over_f8()
+    e = _estimate(f, g)
+    ns, gcds = _rounds(monkeypatch), _gcd_calls(monkeypatch)
+    assert local_intersection(f, g).value == INF
+    assert len(gcds) == 1
+    assert ns[0] == e + 1 and ns[-1] >= 4 * (e + 1) > ns[-2]
+    assert max(ns) < 128
+
+
+@pytest.mark.parametrize("reach, want", [
+    (lambda n: 0, [5, 8, 13, 20, 31]),  # n grows to floor(3n/2) + 1
+    (lambda n: 2 * n, [5, 11, 23, 47]),  # n grows to reach + 1
+])
+def test_a_round_that_never_certifies_is_a_fault_past_the_bezout_bound(
+        monkeypatch, reach, want):
+    # E = 4 and the Bezout bound is 8 * 3 = 24: with no common branch a
+    # round past 24 certifies, so one that does not is an InternalError;
+    # the one gcd runs at n >= 4(E + 1) = 20, however many rounds follow
+    f, g = _q("(x^2 - y^3)(1 + x^5)"), _q("x^3 - y^2")
+    ns, gcds = [], _gcd_calls(monkeypatch)
+
+    def never(ctx, a, b, n, acc):
+        ns.append(n)
+        acc.append(reach(n))
+
+    monkeypatch.setattr(milnor, "_reduce_pair", never)
+    with pytest.raises(InternalError):
+        local_intersection(f, g)
+    assert ns == want and len(gcds) == 1
 
 
 def _timed_mu(text, p):
