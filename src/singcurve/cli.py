@@ -250,16 +250,18 @@ def run(config):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-p", type=int, default=0, metavar="P",
+    # an option not given sets nothing, so RunConfig holds every default
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("-p", type=int, metavar="P",
                         help="field characteristic; 0 means Q (default)")
-    common.add_argument("-k", type=int, default=1, metavar="K",
+    common.add_argument("-k", type=int, metavar="K",
                         help="extension degree, coefficients in F_{p^k}")
     common.add_argument("-f", dest="f_text", metavar="POLY",
                         help="curve polynomial in x and y")
-    common.add_argument("--format", dest="fmt", default="text",
-                        metavar="FMT", help="text, json or dot")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--format", dest="fmt", metavar="FMT",
+                        help="text, json or dot")
+    common.add_argument("--seed", type=int,
                         help="seed for the extension-field modulus search "
                              "(SINGCURVE_SEED overrides)")
     ap = argparse.ArgumentParser(
@@ -267,38 +269,34 @@ def _build_parser():
         description="Newton trees and invariants of plane curve "
                     "singularities over F_{p^k} and Q.")
     sub = ap.add_subparsers(dest="command", required=True)
-    t = sub.add_parser("tree", parents=[common],
-                       help="build the decorated Newton tree")
+
+    def command(name, about):
+        return sub.add_parser(name, parents=[common], help=about,
+                              argument_default=argparse.SUPPRESS)
+
+    t = command("tree", "build the decorated Newton tree")
     t.add_argument("--minimal", action="store_true",
                    help="erase trivial dead ends and fuse the chain")
-    sub.add_parser("multiplicity", parents=[common],
-                   help="tree multiplicity M and |M|")
-    sub.add_parser("delta", parents=[common], help="delta invariant")
-    sub.add_parser("mubar", parents=[common],
-                   help="1 - M, the expected Milnor number")
-    m = sub.add_parser("mu", parents=[common],
-                       help="Milnor number from the partials")
+    command("multiplicity", "tree multiplicity M and |M|")
+    command("delta", "delta invariant")
+    command("mubar", "1 - M, the expected Milnor number")
+    m = command("mu", "Milnor number from the partials")
     m.add_argument("--unit", dest="unit_text", metavar="POLY",
                    help="multiply by this unit before taking partials")
-    m.add_argument("--trunc", type=int, default=None, metavar="D",
+    m.add_argument("--trunc", type=int, metavar="D",
                    help="reduce the jet of the unit multiple below degree "
                         "D; the answer is certified or rejected (exit 2)")
-    i = sub.add_parser("intersect", parents=[common],
-                       help="intersection multiplicity at the origin")
+    i = command("intersect", "intersection multiplicity at the origin")
     i.add_argument("-g", dest="g_text", metavar="POLY",
                    help="second curve")
-    sub.add_parser("semigroup", parents=[common],
-                   help="characteristic sequence, conductor and gaps "
-                        "of a single branch")
-    pz = sub.add_parser("parametrize", parents=[common],
-                        help="truncated power series parametrization")
-    pz.add_argument("--terms", type=int, default=64, metavar="T",
+    command("semigroup",
+            "characteristic sequence, conductor and gaps of a single branch")
+    pz = command("parametrize", "truncated power series parametrization")
+    pz.add_argument("--terms", type=int, metavar="T",
                     help="series truncation order (default 64, at most "
                          "16384)")
-    sub.add_parser("area-check", parents=[common],
-                   help="replay -M as a sum of closed polygon areas")
-    c = sub.add_parser("check", parents=[common],
-                       help="check mu = 1 - M against p | N_v over primes")
+    command("area-check", "replay -M as a sum of closed polygon areas")
+    c = command("check", "check mu = 1 - M against p | N_v over primes")
     c.add_argument("--primes", metavar="A..B",
                    help="inclusive prime range to sweep")
     return ap

@@ -224,10 +224,6 @@ def zariski_sequence(t, arrow=None):
     return ZariskiSeq(vs)
 
 
-def conductor(s):
-    return s.c
-
-
 def semigroup_gaps(s):
     """Sorted list of the gaps; there are exactly delta of them."""
     reach = [False] * max(s.c, 1)
@@ -533,17 +529,3 @@ def intersect_param(f, g, terms=16):
     raise PrecisionExhausted(
         f"no stable order below precision {PRECISION_CAP}")
 
-
-def delta_additivity_check(factors):
-    """delta of the product against sum of deltas plus pairwise
-    intersections."""
-    t = build_tree_multi(factors)
-    total = tree_delta(t)
-    acc = sum(delta(f) for f in factors)
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            it = intersect_tree(factors[i], factors[j])
-            if it == INF:
-                return False
-            acc += it
-    return total == acc

@@ -1,5 +1,5 @@
-"""Milnor numbers through local intersection of the partials, Newton
-non-degeneracy tests, polar curves, and the equality checker mu = 1 - M.
+"""Milnor numbers through local intersection of the partials, and the
+equality checker mu = 1 - M.
 
 The local intersection routine is a characteristic-free reduction: strip
 monomial factors (each x costs the y-order of the partner and vice versa),
@@ -34,14 +34,13 @@ product per row (Kronecker substitution, see the field module).
 """
 
 from .errors import InternalError, NotAUnit, TruncationUnstable
-from .field import uni_deg, uni_divmod, uni_gcd, uni_order, uni_trim
-from .invariants import INF, rho
-from .newton import face_line, newton_polygon
+from .field import uni_divmod, uni_order
+from .invariants import INF
+from .newton import newton_polygon
 from .poly import (BiPoly, _clip_rows, _rows_strip, _rows_trim, _to_yrows,
                    clip_total, gcd_bipoly, partials, reduce_mod,
                    reduced_check, vanishes_at_origin)
-from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity, \
-    vertex_report
+from .tree import build_tree, minimalize, tree_multiplicity, vertex_report
 
 
 class LocalMult:
@@ -231,77 +230,6 @@ def milnor_number(f, unit=None, trunc=None):
             f"certified only for a finite mu with D - 1 >= 2 mu - ord + 2, "
             f"the determinacy bound")
     return m
-
-
-# ---------------------------------------------------------------------------
-# Newton non-degeneracy
-
-
-def _face_system_roots(f, face):
-    """True when the partials of the face part share a nonzero root."""
-    ctx = f.ctx
-    i1, j1 = face.top
-    _, T = face_line(f, face.p, face.q)
-    a = [ctx.mul_int(c, i1 + s * face.q) for s, c in enumerate(T)]
-    b = [ctx.mul_int(c, j1 - s * face.p) for s, c in enumerate(T)]
-    a = uni_trim(ctx, a)
-    b = uni_trim(ctx, b)
-    if not a and not b:
-        return True
-    g = uni_gcd(ctx, a, b)
-    return uni_deg(g) - uni_order(ctx, g) >= 1
-
-
-def is_nd_face(f, face):
-    """No common torus zero of the face part's partials."""
-    return not _face_system_roots(f, face)
-
-
-def _vertex_degenerate(ctx, i, j):
-    return ctx.is_zero(ctx.mul_int(ctx.one, i)) and \
-        ctx.is_zero(ctx.mul_int(ctx.one, j))
-
-
-def is_nnd(f):
-    """Newton non-degenerate: every compact face, vertices included,
-    passes the torus test."""
-    pg = newton_polygon(f)
-    ctx = f.ctx
-    for (i, j) in pg.vertices:
-        if _vertex_degenerate(ctx, i, j):
-            return False
-    return all(is_nd_face(f, face) for face in pg.faces)
-
-
-# ---------------------------------------------------------------------------
-# polar curves
-
-
-def polar_intersection(f, a, b):
-    """i(f, b f_x - a f_y) against -M + i(f, ax + by), both engines.
-
-    The identity needs every branch to meet the line with multiplicity
-    prime to the characteristic; when that fails the comparison is reported
-    as skipped rather than asserted.
-    """
-    ctx = f.ctx
-    if ctx.is_zero(a) and ctx.is_zero(b):
-        raise InternalError("the line needs a nonzero coefficient")
-    fx, fy = partials(f)
-    polar = fx.scale(b) + fy.scale(ctx.neg(a))
-    lhs = local_intersection(f, polar).value
-    line = BiPoly(ctx, {(1, 0): a, (0, 1): b})
-    t = build_tree_multi([f, line])
-    la = [n.nid for n in t.arrows("branch") if n.owner == 1]
-    per_branch = [rho(t, n.nid, la[0])
-                  for n in t.arrows("branch") if n.owner == 0]
-    i_line = sum(per_branch)
-    p = ctx.characteristic
-    skipped = any(p and v % p == 0 for v in per_branch)
-    mf = tree_multiplicity(build_tree(f)).M
-    rhs = -mf + i_line
-    return {"polar": lhs, "expected": rhs,
-            "equal": None if skipped else lhs == rhs, "skipped": skipped}
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,6 @@ class BiPoly:
     def monomial(cls, ctx, i, j, v=None):
         return cls(ctx, {(i, j): ctx.one if v is None else v})
 
-    @classmethod
-    def from_int_dict(cls, ctx, d):
-        return cls(ctx, {k: ctx.from_int(v) for k, v in d.items()})
-
     def is_zero(self):
         return not self.c
 
@@ -120,13 +116,6 @@ class BiPoly:
     def coeff(self, i, j):
         return self.c.get((i, j), self.ctx.zero)
 
-    def evaluate(self, a, b):
-        ctx = self.ctx
-        acc = ctx.zero
-        for (i, j), v in self.c.items():
-            acc = ctx.add(acc, ctx.mul(v, ctx.mul(ctx.pow(a, i), ctx.pow(b, j))))
-        return acc
-
     def ord(self):
         """Order of vanishing at the origin (minimum total degree)."""
         if not self.c:
@@ -202,6 +191,9 @@ def clip_total(f, n):
 
 
 _TOKEN_CHARS = set("xyg+-*^()")
+# the largest exponent, and total degree of a power, that the parser
+# expands: every row layer allocates one row per y-degree
+DEGREE_LIMIT = 10 ** 4
 
 
 def _tokenize(s):
@@ -277,6 +269,10 @@ class _Parser:
             if kind != "int":
                 raise ParseError("'^' needs a natural number exponent", pos)
             self.next()
+            deg = max((i + j for i, j in base.c), default=0)
+            if val * max(deg, 1) > DEGREE_LIMIT:
+                raise ParseError(f"power ^{val} of a degree-{deg} base is "
+                                 f"above DEGREE_LIMIT = {DEGREE_LIMIT}", pos)
             return base ** val
         return base
 
@@ -404,7 +400,7 @@ def _rows_strip(ctx, rows):
 def _rows_content(ctx, rows):
     """Monic gcd of the rows, the content of a polynomial in y over K[x]."""
     cont = []
-    for r in rows:
+    for r in filter(None, rows):  # an empty row leaves the gcd as it is
         cont = uni_gcd(ctx, cont, r)
         if len(cont) == 1:
             break

@@ -159,6 +159,22 @@ def test_huge_rational_coefficient_fails_fast():
     assert time.perf_counter() - start < 2
 
 
+def test_a_power_above_the_degree_limit_fails_fast():
+    # DEGREE_LIMIT is checked before the parser expands a power; with
+    # y^10000001 every command ran past 20 s, one y-row per degree
+    from singcurve.poly import DEGREE_LIMIT
+
+    for argv in (["tree", "-f", "x^2 - y^10000001"],
+                 ["mu", "-p", "5", "-f", "x^2 - (x y^2)^5000"],
+                 ["intersect", "-f", "x", "-g", "y - 2^1000000000"]):
+        start = time.perf_counter()
+        code, out = run(config_from_argv(argv))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and "DEGREE_LIMIT" in out, (argv, out)
+    assert _ok("mu", f_text=f"x^2 - y^{DEGREE_LIMIT}") == \
+        str(DEGREE_LIMIT - 1)
+
+
 def test_area_check_command():
     out = _ok("area-check", f_text=EX1)
     assert out.splitlines() == ["-M = 155", "area sum = 155", "equal: yes"]
@@ -267,6 +283,18 @@ def test_config_from_argv():
     assert cfg.minimal and cfg.fmt == "dot"
     cfg = config_from_argv(["check", "-f", "x", "--primes", "2..13"])
     assert cfg.primes == "2..13"
+
+
+def test_an_omitted_flag_keeps_the_run_config_default():
+    # argparse sets only the flags given, so RunConfig alone holds defaults
+    from singcurve.cli import _COMMANDS
+
+    for command in _COMMANDS:
+        got = config_from_argv([command, "-f", "x"])
+        want = RunConfig(command, f_text="x")
+        for field in RunConfig.__slots__:
+            assert getattr(got, field) == getattr(want, field), \
+                (command, field)
 
 
 def test_main_prints_and_returns(capsys):

@@ -1,10 +1,12 @@
-"""Source hygiene: no unused imports and no unreferenced private functions
-in the package, one body per context kernel, and the benchmark's per-layer
-tracer still finds every function it patches."""
+"""Source hygiene: no unused imports and no unreferenced functions in the
+package, test-only cross-checks kept in tests/, one body per context
+kernel, and the benchmark's per-layer tracer still finds every function it
+patches."""
 
 import ast
 import importlib.util
 import pathlib
+import sys
 from collections import Counter
 
 from singcurve import milnor, poly
@@ -45,20 +47,53 @@ def _names(node):
             yield n.name
 
 
-def _unreferenced_private_functions(paths):
-    trees = [(p.name, ast.parse(p.read_text(), filename=str(p))) for p in paths]
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _unreferenced_functions():
+    """Module-level functions of the package, as "module:line name", that
+    no code but their own body names; the re-exports of __init__.py do not
+    count as uses."""
+    trees = [(p.name, _parse(p)) for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "__init__.py"]
     refs = Counter(n for _, tree in trees for n in _names(tree))
-    return [f"{name}:{fn.lineno} {fn.name}"
+    return {fn.name: f"{name}:{fn.lineno} {fn.name}"
             for name, tree in trees for fn in tree.body
-            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
-            and not fn.name.startswith("__")
-            and refs[fn.name] == Counter(_names(fn))[fn.name]]
+            if isinstance(fn, ast.FunctionDef)
+            and refs[fn.name] == Counter(_names(fn))[fn.name]}
 
 
 def test_every_private_function_is_referenced():
     # a private helper that only its own body mentions is dead code
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert _unreferenced_private_functions(paths) == []
+    assert [where for name, where in _unreferenced_functions().items()
+            if name.startswith("_") and not name.startswith("__")] == []
+
+
+# public functions that only users call: README documents each of them
+_ENTRY_POINTS = {"tree_from_json_dict"}
+
+
+def test_every_public_function_is_used_or_exported():
+    # a public function with no caller in the package, no re-export and no
+    # README entry is test-only code; it belongs in tests/crosschecks.py
+    exported = {a.asname or a.name
+                for a in ast.walk(_parse(PACKAGE / "__init__.py"))
+                if isinstance(a, ast.alias)}
+    assert [where for name, where in _unreferenced_functions().items()
+            if not name.startswith("_")
+            and name not in exported | _ENTRY_POINTS] == []
+
+
+def test_crosschecks_import_only_the_stdlib_and_the_package():
+    # a stdlib-only driver can then load tests/crosschecks.py by path
+    tree = _parse(ROOT / "tests" / "crosschecks.py")
+    found = {a.name.split(".")[0] for n in ast.walk(tree)
+             if isinstance(n, ast.Import) for a in n.names}
+    found |= {(n.module or "").split(".")[0] if not n.level else "."
+              for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "singcurve" in found
+    assert found - {"singcurve"} <= sys.stdlib_module_names, found
 
 
 def _bench_layers():

@@ -11,8 +11,7 @@ from singcurve.errors import (InternalError, NotIrreducible,
                               NotIrreducibleBranchShape, PrecisionExhausted)
 from singcurve.field import field_ctx
 from singcurve.invariants import (INF, Parametrization, ZariskiSeq,
-                                  area_identity, conductor, delta,
-                                  delta_additivity_check, intersect_param,
+                                  area_identity, delta, intersect_param,
                                   intersect_tree, mu_bar, parametrize_branch,
                                   rho, semigroup_gaps, tree_delta,
                                   tree_mu_bar, zariski_sequence)
@@ -22,6 +21,7 @@ from singcurve.milnor import local_intersection
 from singcurve.poly import BiPoly, parse_poly
 from singcurve.tree import build_tree, build_tree_multi, minimalize
 
+from crosschecks import delta_additivity_check
 from curves import EX1, EX2, four_lines
 from oracles import (horner_eval, reference_parametrization, rho_bar_path,
                      resultant_order, semigroup_from_generators, series_order)
@@ -141,12 +141,12 @@ def test_zariski_frozen_sequences():
     z = zariski_sequence(build_tree(_q(EX1)))
     assert z.vs == (8, 12, 50, 101)
     assert z.d == (8, 4, 2, 1)
-    assert conductor(z) == 156 == 2 * delta(_q(EX1))
+    assert z.c == 156 == 2 * delta(_q(EX1))
 
 
 def test_zariski_smooth_and_single_vertex():
     assert zariski_sequence(build_tree(_q("y - x^2"))).vs == (1,)
-    assert conductor(zariski_sequence(build_tree(_q("x")))) == 0
+    assert zariski_sequence(build_tree(_q("x"))).c == 0
     z = zariski_sequence(build_tree(_q(four_lines((1, 1, 1, 1)))))
     assert z.vs == (4, 5) and z.c == 12
 

@@ -15,12 +15,13 @@ from singcurve import invariants, milnor
 from singcurve.errors import InternalError, NotAUnit, TruncationUnstable
 from singcurve.field import field_ctx
 from singcurve.invariants import INF, intersect_param, intersect_tree, mu_bar
-from singcurve.milnor import _reduce_pair, check_conjecture, is_nd_face, \
-    is_nnd, local_intersection, milnor_number, polar_intersection
+from singcurve.milnor import _reduce_pair, check_conjecture, \
+    local_intersection, milnor_number
 from singcurve.newton import newton_polygon
 from singcurve.poly import BiPoly, _to_yrows, clip_total, gcd_bipoly, \
     parse_poly, partials, vanishes_at_origin
 
+from crosschecks import is_nd_face, is_nnd, polar_intersection
 from curves import EX1, EX2, four_lines
 from oracles import dict_reduce_pair, dict_reduce_pair_fixed_cut, \
     reference_intersection, small_elem
@@ -168,8 +169,9 @@ def test_reduce_pair_matches_the_dict_oracle(ctx, fg, gg, ht, shape):
 def test_local_intersection_matches_the_fixed_cut_reference(ctx, fg, gg, ht,
                                                             shape):
     # budgeted rounds certify later than fixed-cut ones, never differently;
-    # no shared shape: on a common branch both run their rounds up to the
-    # Bezout bound, which takes up to minutes over F_{7^2} and Q
+    # no shared shape: local_intersection stops a common branch at its gcd
+    # fence (the F_{2^3} pair in 0.13 s), but the oracle runs its rounds up
+    # to the Bezout bound, which takes up to minutes over F_{7^2} and Q
     f, g = _shaped_pair(ctx, fg, gg, ht, shape)
     assert local_intersection(f, g).value == reference_intersection(f, g)
 

@@ -13,8 +13,7 @@ import sympy
 
 from singcurve.errors import Char0IrreducibleRemainder
 from singcurve.field import field_ctx
-from singcurve.invariants import (INF, area_identity, conductor,
-                                  delta_additivity_check, intersect_param,
+from singcurve.invariants import (INF, area_identity, intersect_param,
                                   intersect_tree, rho, semigroup_gaps,
                                   tree_delta, tree_mu_bar, zariski_sequence)
 from singcurve.milnor import check_conjecture, local_intersection, \
@@ -23,6 +22,7 @@ from singcurve.poly import BiPoly, reduced_check
 from singcurve.tree import (build_tree, build_tree_multi, minimalize,
                             tree_multiplicity)
 
+from crosschecks import delta_additivity_check
 from oracles import multiplicity_sum_check
 
 PRIMES = (2, 3, 5, 7, 13)
@@ -129,7 +129,7 @@ def test_zariski_axioms_conductor_and_gap_count():
             t = build_tree(f)
             s = zariski_sequence(t)
             d = tree_delta(t)
-            assert conductor(s) == 2 * d, f
+            assert s.c == 2 * d, f
             assert len(semigroup_gaps(s)) == d, f
 
 
