@@ -37,7 +37,7 @@ from .errors import InternalError, NotAUnit, TruncationUnstable
 from .field import uni_divmod, uni_order
 from .invariants import INF
 from .newton import newton_polygon
-from .poly import (BiPoly, _clip_rows, _rows_strip, _rows_trim, _to_yrows,
+from .poly import (_clip_rows, _rows_strip, _rows_trim, _to_yrows,
                    clip_total, gcd_bipoly, partials, reduce_mod,
                    reduced_check, vanishes_at_origin)
 from .tree import build_tree, minimalize, tree_multiplicity, vertex_report
@@ -66,7 +66,7 @@ def _sub_mul_clip(ctx, g, f, q, n):
     return _rows_trim(g), dropped
 
 
-def _reduce_pair(ctx, f, g, n, reach=None):
+def _reduce_pair(ctx, f, g, n, reach):
     """One reduction round at precision n on the y-rows f and g: the
     value, INF or None.
 
@@ -79,7 +79,7 @@ def _reduce_pair(ctx, f, g, n, reach=None):
     argument a multiple of the other) is a certified infinity only in a
     round that never cut anything.  Row j of a y-row set holds the
     x-coefficients of y^j and is at most n - acc - j long; the argument
-    rows are not changed.  A list reach gets the round's last acc
+    rows are not changed.  The list reach gets the round's last acc
     appended, the precision a failed round reached.
     """
     acc = 0
@@ -130,13 +130,12 @@ def _reduce_pair(ctx, f, g, n, reach=None):
                 # g was a multiple of f: a common branch in the exact run
                 return None if cut else INF
     finally:
-        if reach is not None:
-            reach.append(acc)
+        reach.append(acc)
 
 
-def _newton_estimate(ctx, f, g):
-    """E, the mixed area of the Newton polygons of the y-rows f and g
-    (Kouchnirenko 1976, Bernstein 1975), or INF when an axis divides both.
+def _newton_estimate(f, g):
+    """E, the mixed area of the Newton polygons of f and g (Kouchnirenko
+    1976, Bernstein 1975), or INF when an axis divides both.
 
     The monomial factors are charged as _reduce_pair charges them: x^a y^b
     of f costs a times the y-order of g(0, y) plus b times the x-order of
@@ -146,9 +145,7 @@ def _newton_estimate(ctx, f, g):
     i(f, g) for a Newton non-degenerate pair and at most i(f, g) on every
     pair measured; nothing certified depends on it.
     """
-    pf, pg = (newton_polygon(BiPoly(ctx, {
-        (i, j): v for j, r in enumerate(rows) for i, v in enumerate(r)}))
-        for rows in (f, g))
+    pf, pg = newton_polygon(f), newton_polygon(g)
     (a, b), (c, d) = (pf.i0, pf.j0), (pg.i0, pg.j0)
     if a and c or b and d:
         return INF
@@ -179,14 +176,14 @@ def local_intersection(g, h):
         return LocalMult(INF if vanishes_at_origin(other) else 0)
     if not vanishes_at_origin(g) or not vanishes_at_origin(h):
         return LocalMult(0)
+    est = _newton_estimate(g, h)
+    if est == INF:
+        return LocalMult(INF)
     # BiPoly keeps coefficients as given; the packed kernel needs canonical
     # elements, and ctx.add puts any element in its canonical form
     ctx = g.ctx
     gr, hr = ([[ctx.add(ctx.zero, v) for v in r] for r in _to_yrows(e)]
               for e in (g, h))
-    est = _newton_estimate(ctx, gr, hr)
-    if est == INF:
-        return LocalMult(INF)
     bound = max(i + j for i, j in g.c) * max(i + j for i, j in h.c)
     fence = min(4 * (est + 1), bound + 1)
     reach = []

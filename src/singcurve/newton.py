@@ -3,8 +3,9 @@
 The polygon is the lower-left convex hull of the support of f (as given, not
 divided by x^i0 y^j0).  A compact face with primitive normal (p, q) lies on
 the line p*X + q*Y = N; faces are listed top to bottom, so p/q strictly
-decreases.  The terms of f on a face collapse to a univariate polynomial T
-via u = x^q / y^p, whose nonzero roots are the face roots.
+decreases.  The polygon of a product is the sum of its factors' polygons.
+The terms of f on a face collapse to a univariate polynomial T via
+u = x^q / y^p, whose nonzero roots are the face roots.
 """
 
 import math
@@ -52,19 +53,24 @@ class NewtonPolygon:
     def __repr__(self):
         return f"NewtonPolygon(vertices={self.vertices})"
 
+    def __add__(self, other):
+        """The polygon of the product (Ostrowski 1921): in a domain the
+        initial forms multiply, so every vertex of the product's polygon is
+        a vertex of this one plus a vertex of the other."""
+        return _polygon([(a + c, b + d) for a, b in self.vertices
+                         for c, d in other.vertices])
+
 
 def _cross(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def newton_polygon(f):
-    if f.is_zero():
-        raise ZeroPolynomial("Newton polygon of the zero polynomial")
+def _polygon(points):
+    """The polygon of a nonempty set of exponent pairs (i, j)."""
     by_i = {}
-    for i, j in f.c:
+    for i, j in points:
         if i not in by_i or j < by_i[i]:
             by_i[i] = j
-    i0, j0 = min(by_i), min(by_i.values())
     stair = []
     for i in sorted(by_i):
         j = by_i[i]
@@ -81,7 +87,14 @@ def newton_polygon(f):
         g = math.gcd(di, dj)
         p, q = dj // g, di // g
         faces.append(Face(p, q, p * i1 + q * j1, (i1, j1), (i2, j2), g))
-    return NewtonPolygon(i0, j0, hull, faces)
+    # the hull runs from the least i down to the least j
+    return NewtonPolygon(hull[0][0], hull[-1][1], hull, faces)
+
+
+def newton_polygon(f):
+    if f.is_zero():
+        raise ZeroPolynomial("Newton polygon of the zero polynomial")
+    return _polygon(f.c)
 
 
 def face_line(f, p, q):

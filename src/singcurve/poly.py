@@ -96,8 +96,9 @@ class BiPoly:
         while n:
             if n & 1:
                 r = r * b
-            b = b * b
             n >>= 1
+            if n:
+                b = b * b
         return r
 
     def scale(self, v):
@@ -122,22 +123,8 @@ class BiPoly:
             raise ZeroPolynomial("ord of the zero polynomial")
         return min(i + j for i, j in self.c)
 
-    def deg_x(self):
-        return max((i for i, _ in self.c), default=-1)
-
     def deg_y(self):
         return max((j for _, j in self.c), default=-1)
-
-    def x_mult(self):
-        """Largest power of x dividing the polynomial."""
-        if not self.c:
-            raise ZeroPolynomial("x_mult of the zero polynomial")
-        return min(i for i, _ in self.c)
-
-    def y_mult(self):
-        if not self.c:
-            raise ZeroPolynomial("y_mult of the zero polynomial")
-        return min(j for _, j in self.c)
 
     def subs_x0(self):
         """f(0, y) as a univariate coefficient list in y."""
@@ -444,7 +431,7 @@ def _gcd_primitive(ctx, fr, gr, points=None):
     the y-degree of the primitive gcd h, and exactly that degree except at
     finitely many unlucky points.  Scaled by gamma(a), the images of that
     degree are values of gamma/lc(h) * h, whose x-degree is at most
-    deg gamma + min(deg_x f, deg_x g); that many points plus one fix it.
+    deg gamma + min(x-deg f, x-deg g); that many points plus one fix it.
     A primitive h divides f iff the pseudo-remainder vanishes.  The points
     are the integers over Q and the elements of a finite ctx.  When those
     run out, the rows go to the quadratic extension, whose new points come

@@ -14,7 +14,9 @@ Decorations live at the vertex end of each edge (arrow ends carry a neutral
 1).  The connecting edge of a glued chain is decorated 1 at the parent.
 """
 
+import functools
 import math
+import operator
 
 from .errors import (DisconnectedNodes, IndivisibleArrowhead, InternalError,
                      NotReduced, RecursionCapExceeded, UnitInput,
@@ -280,7 +282,8 @@ class _Builder:
         return f.map_coeffs(self.embed[f.ctx], self.ctx)
 
     def chain(self, strands, glue, depth):
-        """Build the chain of the product of strands.
+        """Build the chain of the product of strands, whose polygon is the
+        sum of theirs.
 
         strands: list of (owner, BiPoly) over the current field; glue: None
         at the root, else (parent vertex id, p_par * q_par, N_par, chart
@@ -288,10 +291,8 @@ class _Builder:
         """
         if depth > RECURSION_CAP:
             raise RecursionCapExceeded(f"chain depth exceeded {RECURSION_CAP}")
-        g = strands[0][1]
-        for _, h in strands[1:]:
-            g = g * h
-        P = newton_polygon(g)
+        polys = [newton_polygon(h) for _, h in strands]
+        P = functools.reduce(operator.add, polys)
         t = self.tree
         t.chains.append((P, glue[3][-1][3] if glue else None))
         if P.i0 > 1 or P.j0 > 1:
@@ -299,12 +300,16 @@ class _Builder:
                 f"axis factor with multiplicity {max(P.i0, P.j0)}")
         if glue is not None and P.i0 != 0:
             raise InternalError("transformed cofactor divisible by X")
+        # P.i0 and P.j0 sum the strands' and are at most 1, so each axis
+        # divides at most one strand
+        x_owners = [m for (m, _), Q in zip(strands, polys) if Q.i0]
+        y_owners = [m for (m, _), Q in zip(strands, polys) if Q.j0]
 
         if not P.faces:
             if glue is not None:
                 raise InternalError("glued polygon with no compact face")
-            top = self._end(strands, "x", P.i0 == 1, 1, 1)
-            t.add_edge(top, self._end(strands, "y", P.j0 == 1, 1, 1), 1, 1)
+            top = self._end(x_owners, "x", 1, 1)
+            t.add_edge(top, self._end(y_owners, "y", 1, 1), 1, 1)
             return
 
         pq_glue = glue[1] if glue else 0
@@ -316,27 +321,23 @@ class _Builder:
             vid = t.new_vertex(n_bar, face.p, q_bar)
             if idx == 0:
                 top = glue[0] if glue is not None else \
-                    self._end(strands, "x", P.i0 == 1, n_bar, q_bar)
+                    self._end(x_owners, "x", n_bar, q_bar)
                 t.add_edge(top, vid, 1, q_bar)
             else:
                 t.add_edge(prev_vid, vid, prev_p, q_bar)
             self._face_roots(strands, face, vid, q_bar, n_bar, path, depth)
             prev_vid, prev_p = vid, face.p
-        t.add_edge(prev_vid, self._end(strands, "y", P.j0 == 1, n_bar, prev_p),
+        t.add_edge(prev_vid, self._end(y_owners, "y", n_bar, prev_p),
                    prev_p, 1)
 
-    def _end(self, strands, axis, on_axis, n, d):
-        """The arrow ending a chain on the given axis side: the axis branch
-        when it divides the product of strands, else a (0)-arrow of
-        value n / d."""
-        if not on_axis:
+    def _end(self, owners, axis, n, d):
+        """The arrow ending a chain on the given axis side: the branch of
+        owners[0], whose strand the axis divides, or a (0)-arrow of value
+        n / d when owners is empty."""
+        if not owners:
             if n % d != 0:
                 raise IndivisibleArrowhead(f"{d} does not divide {n}")
             return self.tree.new_arrow("zero", N=n // d)
-        owners = [m for m, h in strands
-                  if (h.x_mult() if axis == "x" else h.y_mult())]
-        if len(owners) != 1:
-            raise InternalError(f"{axis}-axis factor has {len(owners)} owners")
         return self.tree.new_arrow("branch", owner=owners[0],
                                    label=f"{axis} = 0")
 
@@ -420,10 +421,8 @@ def build_tree_multi(factors, check=True):
     return b.tree
 
 
-def build_tree(f, ctx=None, check=True):
+def build_tree(f, check=True):
     """Decorated Newton tree of a reduced polynomial vanishing at 0."""
-    if ctx is not None and ctx != f.ctx:
-        raise InternalError("explicit context differs from the coefficients'")
     return build_tree_multi([f], check=check)
 
 

@@ -550,7 +550,8 @@ def euclid_gcd(ctx, f, g):
 
 def _subs_y0(f):
     """f(x, 0) as a coefficient list in x."""
-    return uni_trim(f.ctx, [f.coeff(i, 0) for i in range(f.deg_x() + 1)])
+    top = max((i for i, _ in f.c), default=-1)
+    return uni_trim(f.ctx, [f.coeff(i, 0) for i in range(top + 1)])
 
 
 def _div_monomial(f, a, b):
@@ -576,7 +577,7 @@ def _dict_strip(f, g):
     for first in (True, False):
         h = f if first else g
         other = g if first else f
-        a, b = h.x_mult(), h.y_mult()
+        a, b = min(i for i, _ in h.c), min(j for _, j in h.c)
         if a or b:
             for mult, rest in ((a, other.subs_x0()), (b, _subs_y0(other))):
                 if not mult:
@@ -681,16 +682,21 @@ def dict_reduce_pair_fixed_cut(f, g, n):
 def reference_intersection(f, g):
     """Intersection multiplicity at the origin as local_intersection found
     it before the budget: fixed-cut rounds at n = 32, 64, ... until one
-    certifies, and past the Bezout bound the PRS gcd tells infinity."""
+    certifies.  A shared branch certifies no finite value, so once a round
+    fails at n >= 128, or past the Bezout bound, the PRS gcd tells
+    infinity; without a shared branch every round past the bound
+    certifies."""
     if not vanishes_at_origin(f) or not vanishes_at_origin(g):
         return 0
     if f.is_zero() or g.is_zero():
         return INF
     bound = max(i + j for i, j in f.c) * max(i + j for i, j in g.c)
-    n = 32
+    n, fence = 32, min(128, bound + 1)
     while (v := dict_reduce_pair_fixed_cut(f, g, n)) is None:
-        if n > bound:
-            assert vanishes_at_origin(gcd_prs(f, g)), "no round certified"
-            return INF
+        if n >= fence:
+            if vanishes_at_origin(gcd_prs(f, g)):
+                return INF
+            fence = INF
+        assert n <= bound, "no round certified"
         n *= 2
     return v

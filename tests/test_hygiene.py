@@ -51,17 +51,25 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _unreferenced_functions():
-    """Module-level functions of the package, as "module:line name", that
-    no code but their own body names; the re-exports of __init__.py do not
-    count as uses."""
+def _package_code():
+    """(file name, tree) per package module, and how often their code names
+    each name; the re-exports of __init__.py do not count as uses."""
     trees = [(p.name, _parse(p)) for p in sorted(PACKAGE.glob("*.py"))
              if p.name != "__init__.py"]
-    refs = Counter(n for _, tree in trees for n in _names(tree))
+    return trees, Counter(n for _, tree in trees for n in _names(tree))
+
+
+def _unreferenced(refs, fn):
+    return refs[fn.name] == Counter(_names(fn))[fn.name]
+
+
+def _unreferenced_functions():
+    """Module-level functions of the package, as "module:line name", that
+    no code but their own body names."""
+    trees, refs = _package_code()
     return {fn.name: f"{name}:{fn.lineno} {fn.name}"
             for name, tree in trees for fn in tree.body
-            if isinstance(fn, ast.FunctionDef)
-            and refs[fn.name] == Counter(_names(fn))[fn.name]}
+            if isinstance(fn, ast.FunctionDef) and _unreferenced(refs, fn)}
 
 
 def test_every_private_function_is_referenced():
@@ -83,6 +91,17 @@ def test_every_public_function_is_used_or_exported():
     assert [where for name, where in _unreferenced_functions().items()
             if not name.startswith("_")
             and name not in exported | _ENTRY_POINTS] == []
+
+
+def test_every_public_method_is_used():
+    # a public method that no package code names outside its own body is
+    # test-only code too; tests read such values off the data instead
+    trees, refs = _package_code()
+    assert [f"{name}:{fn.lineno} {cls.name}.{fn.name}"
+            for name, tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and not fn.name.startswith("_") and _unreferenced(refs, fn)] == []
 
 
 def test_crosschecks_import_only_the_stdlib_and_the_package():

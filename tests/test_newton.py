@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singcurve.errors import Char0IrreducibleRemainder, ZeroPolynomial
 from singcurve.field import field_ctx
@@ -11,6 +13,7 @@ from singcurve.newton import face_factorization, face_line, newton_polygon
 from singcurve.poly import BiPoly, parse_poly
 
 from curves import EX1, EX2
+from oracles import small_elem
 
 QQ = field_ctx(0)
 
@@ -96,6 +99,31 @@ def test_json_dict():
     d = newton_polygon(f).to_json_dict()
     assert d == {"i0": 0, "j0": 0, "vertices": [[0, 12], [8, 0]],
                  "faces": [{"p": 3, "q": 2, "N": 24}]}
+
+
+def _shape(P):
+    return (P.i0, P.j0, P.vertices,
+            [(s.p, s.q, s.N, s.K, s.top, s.bot) for s in P.faces])
+
+
+_terms = st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                         st.tuples(st.integers(-4, 4), st.integers(0, 3)),
+                         min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QQ, field_ctx(2), field_ctx(3), field_ctx(5),
+                        field_ctx(7, 2)]), _terms, _terms)
+def test_the_polygon_of_a_product_is_the_sum_of_the_polygons(ctx, ft, gt):
+    # Ostrowski: the initial forms on a vertex or face multiply, and in a
+    # domain their product is not zero, so no term of f * g on its own
+    # polygon cancels
+    f, g = (BiPoly(ctx, {k: small_elem(ctx, a, b) for k, (a, b) in t.items()})
+            for t in (ft, gt))
+    if f.is_zero() or g.is_zero():
+        return
+    assert _shape(newton_polygon(f) + newton_polygon(g)) == \
+        _shape(newton_polygon(f * g))
 
 
 def test_zero_polynomial_rejected():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from singcurve import poly
 from singcurve.errors import ParseError, ZeroPolynomial
 from singcurve.field import field_ctx
+from singcurve.newton import newton_polygon
 from singcurve.poly import (BiPoly, clip_total, gcd_bipoly, parse_poly,
                             partials, poly_str, reduced_check,
                             vanishes_at_origin)
@@ -44,6 +45,26 @@ def test_parse_basics():
     assert parse_poly("x*(y+1)", QQ) == parse_poly("x y + x", QQ)
     assert parse_poly("7", F5).c == {(0, 0): 2}
     assert parse_poly("5x", F5).is_zero()
+
+
+def test_a_power_squares_only_while_bits_remain(monkeypatch):
+    # 100 = 0b1100100 takes six squarings and three multiplies; a seventh
+    # squaring, the 128th power, would be thrown away
+    base = parse_poly("1 + x + y", F5)
+    calls = []
+    mul = BiPoly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counted)
+    power = base ** 100
+    monkeypatch.undo()
+    assert len(calls) == 9
+    # over F_5, (1 + x + y)^100 = (1 + x^25 + y^25)^4
+    quad = BiPoly(F5, {(0, 0): 1, (25, 0): 1, (0, 25): 1})
+    assert power == quad * quad * quad * quad
 
 
 def test_parse_generator():
@@ -87,8 +108,8 @@ def test_ord_and_mults():
     f = parse_poly("x^2 - y^3", QQ)
     assert f.ord() == 2
     assert parse_poly("x^4 y + x y^5 + x y", QQ).ord() == 2
-    assert parse_poly("x^2 y^3 + x^3 y^4", QQ).x_mult() == 2
-    assert parse_poly("x^2 y^3 + x^3 y^4", QQ).y_mult() == 3
+    P = newton_polygon(parse_poly("x^2 y^3 + x^3 y^4", QQ))
+    assert (P.i0, P.j0) == (2, 3)
     with pytest.raises(ZeroPolynomial):
         BiPoly.zero(QQ).ord()
 
@@ -187,7 +208,7 @@ def test_gcd_bipoly_exact_cases():
     lead = d.c[max(d.c)]
     assert d.scale(QQ.inv(lead)) == x2y3.scale(QQ.inv(x2y3.c[max(x2y3.c)]))
     one = gcd_bipoly(parse_poly("x", QQ), parse_poly("y", QQ))
-    assert one.deg_x() == 0 and one.deg_y() == 0
+    assert list(one.c) == [(0, 0)]
 
 
 def test_reduced_check():
@@ -276,7 +297,7 @@ _row_terms = st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 8)),
 @given(st.sampled_from(ROW_CTXS), _row_terms, st.integers(0, 24))
 def test_row_cut_and_strip_match_the_bipoly(ctx, terms, n):
     # the one total-degree cut and the one monomial strip on y-rows
-    # against clip_total, x_mult and y_mult on the BiPoly
+    # against clip_total and the polygon's i0 and j0 on the BiPoly
     f = _from_terms(ctx, terms)
     rows = poly._to_yrows(f)
     before = [list(r) for r in rows]
@@ -285,7 +306,8 @@ def test_row_cut_and_strip_match_the_bipoly(ctx, terms, n):
     assert rows == before
     if f.is_zero():
         return
-    a, b = f.x_mult(), f.y_mult()
+    P = newton_polygon(f)
+    a, b = P.i0, P.j0
     quotient = BiPoly(ctx, {(i - a, j - b): v for (i, j), v in f.c.items()})
     got = poly._rows_strip(ctx, rows)
     assert got == (a, b, poly._to_yrows(quotient))
@@ -383,7 +405,7 @@ def test_y_squared_times_h_is_fast(p):
     ctx = field_ctx(p)
     h = _rand_support(ctx, random.Random(28), 12, 28)
     (ok, wit), secs = _timed_reduced_check(BiPoly.monomial(ctx, 0, 2) * h)
-    assert not ok and wit.y_mult() == 1
+    assert not ok and newton_polygon(wit).j0 == 1
     assert secs < 0.2
 
 

@@ -1,6 +1,7 @@
 """Tree construction, minimalization, and the multiplicity M."""
 
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from singcurve.field import field_ctx
 from singcurve.hn import HNMap, hn_map
 from singcurve.invariants import intersect_tree
 from singcurve.milnor import local_intersection
+from singcurve.newton import newton_polygon
 from singcurve.poly import BiPoly, parse_poly, vanishes_at_origin
 from singcurve.tree import (build_tree, build_tree_multi, minimalize,
                             tree_multiplicity, tree_to_ascii, tree_to_dot,
@@ -210,6 +212,29 @@ def test_multi_factor_owners():
     assert len(axis) == 1 and axis[0].owner == 1
 
 
+def test_chains_sum_the_strand_polygons(monkeypatch):
+    # two cusps sharing their face root and the axis y: the origin test
+    # multiplies the three factors once each, and no chain forms a product
+    fs = [parse_poly(s, QQ) for s in ("x^2 - y^3", "x^2 - y^3 + x^3", "y")]
+    callers = []
+    mul = BiPoly.__mul__
+
+    def counted(a, b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return mul(a, b)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counted)
+    t = build_tree_multi(fs, check=False)
+    monkeypatch.undo()
+    assert callers == ["build_tree_multi"] * 2
+    # y = 0 ends the root chain as factor 2, and the chain glued at the
+    # shared root as factor 0, whose image there Y divides
+    assert sorted(n.owner for n in t.arrows("branch")
+                  if n.label == "y = 0") == [0, 2]
+    single = build_tree(fs[0] * fs[1] * fs[2])
+    assert t.to_json_dict() == single.to_json_dict()
+
+
 def test_multi_factor_shared_face_root():
     # both factors put the root 1 on the face of (3,2); the builder has to
     # split the multiplicity between strands and recurse on the pair
@@ -322,7 +347,8 @@ def test_factor_that_leaves_the_chain(ctx, texts, monkeypatch):
     for arrow in t.arrows("branch"):
         if arrow.path is None:
             axis = arrow.label[0]
-            mults = [h.x_mult() if axis == "x" else h.y_mult() for h in fs]
+            polys = [newton_polygon(h) for h in fs]
+            mults = [P.i0 if axis == "x" else P.j0 for P in polys]
         else:
             # replay the arrow's charts on each factor: only its owner
             # still passes through the origin of the last chart, where the
