@@ -18,6 +18,12 @@ monic modulus; inputs may be non-canonical ints, outputs lie in [0, p).
 Every other context, a subclass of PrimeFieldCtx too, runs the element
 bodies on its methods.
 
+uni_factor splits by polynomial powers (Cantor-Zassenhaus) except where a
+quadratic is left: over odd q, x^2 + bx + c is irreducible iff
+(b^2 - 4c)^((q - 1)/2) = -1, and otherwise has the roots (-b +- r)/2, r
+the square root of b^2 - 4c by Tonelli-Shanks (Tonelli 1891, Shanks 1973)
+on the context's own operations, so F_p runs it on ints.
+
 The context kernels sub_mul_rows (the Milnor reduction's step) and
 mul_series (the truncated series product) are written once, in FieldCtx, as
 big-int products (Kronecker substitution, Harvey 2009) over each context's
@@ -43,7 +49,8 @@ from fractions import Fraction
 from itertools import chain, islice
 
 from .errors import (Char0IrreducibleRemainder, Char0Unsupported,
-                     DivisionByZero, InputError, ZeroPolynomial)
+                     DivisionByZero, InputError, InternalError,
+                     ZeroPolynomial)
 
 
 # Miller-Rabin with the first twelve prime bases decides every n below this
@@ -62,6 +69,10 @@ RATIONAL_ROOT_LIMIT = 10 ** 12
 # for the largest prime below PRIME_TEST_LIMIT the modulus search at k = 8
 # takes 0.08 s at seed 0 and 0.06-0.95 s at seeds 0-9 (2-vCPU VM)
 EXT_DEGREE_LIMIT = 8
+# random draws per equal-degree split or non-residue search; a draw succeeds
+# with probability near 1/2 (1/3 for a non-residue of F_3), so running out of
+# them means a broken input
+SPLIT_TRIES = 64
 
 
 def is_prime(n):
@@ -807,11 +818,60 @@ def uni_squarefree(ctx, f):
     return out
 
 
+def _disc(ctx, f):
+    """The discriminant b^2 - 4c of the monic quadratic f = [c, b, 1]."""
+    return ctx.sub(ctx.mul(f[1], f[1]), ctx.mul_int(f[0], 4))
+
+
+def _is_square(ctx, a):
+    """Whether a is a nonzero square of F_q, q odd (Euler's criterion)."""
+    return ctx.is_one(ctx.pow(a, (ctx.order - 1) // 2))
+
+
+def _sqrt(ctx, a, rng):
+    """A square root of the nonzero square a of F_q, q odd (Tonelli 1891,
+    Shanks 1973).
+
+    With q - 1 = 2^e t, t odd, x = a^((t + 1)/2) has x^2 = a b, b = a^t of
+    order 2^i, i < e.  While b != 1, x takes a factor of c = z^t, z a
+    non-residue drawn from rng, that lowers i; q = 3 mod 4 needs no z.
+    """
+    q = ctx.order
+    e, t = 0, q - 1
+    while t % 2 == 0:
+        e, t = e + 1, t // 2
+    x, b = ctx.pow(a, (t + 1) // 2), ctx.pow(a, t)
+    if ctx.is_one(b):
+        return x
+    for _ in range(SPLIT_TRIES):
+        z = ctx.rand_elem(rng)
+        if not ctx.is_zero(z) and not _is_square(ctx, z):
+            break
+    else:
+        raise InternalError(f"square root: no non-residue of F_{q} in "
+                            f"SPLIT_TRIES = {SPLIT_TRIES} draws")
+    c, m = ctx.pow(z, t), e
+    while not ctx.is_one(b):
+        i, b2 = 1, ctx.mul(b, b)
+        while not ctx.is_one(b2):
+            i, b2 = i + 1, ctx.mul(b2, b2)
+        if i >= m:
+            raise InternalError(f"square root of a non-square in F_{q}")
+        for _ in range(m - i - 1):
+            c = ctx.mul(c, c)
+        x, c = ctx.mul(x, c), ctx.mul(c, c)
+        b, m = ctx.mul(b, c), i
+    return x
+
+
 def _uni_ddf(ctx, f):
     """Monic squarefree f -> [(product of its degree-d factors, d, s)]; s is
-    x^((q - 1)/2) mod f on the d = 1 entry for odd q and deg f >= 2, and None
-    otherwise."""
+    x^((q - 1)/2) mod f on the d = 1 entry for odd q and deg f >= 3, and None
+    otherwise.  Over odd q a quadratic is one entry, d = 1 when its
+    discriminant is a square and d = 2 when not."""
     q = ctx.order
+    if q % 2 and uni_deg(f) == 2:
+        return [(f, 1 if _is_square(ctx, _disc(ctx, f)) else 2, None)]
     out = []
     x = [ctx.zero, ctx.one]
     h = uni_rem(ctx, x, f)
@@ -835,12 +895,18 @@ def _uni_ddf(ctx, f):
 
 def _uni_edf(ctx, f, d, rng, s=None):
     """Split a monic product of distinct irreducibles, all of degree d; s,
-    x^((q - 1)/2) modulo a multiple of f, makes the first try u = x."""
+    x^((q - 1)/2) modulo a multiple of f, makes the first try u = x.  Over
+    odd q a quadratic with d = 1 is (x - (-b + r)/2)(x - (-b - r)/2), r the
+    square root of its discriminant."""
     n = uni_deg(f)
     if n == d:
         return [f]
     q = ctx.order
-    while True:
+    if q % 2 and n == 2:
+        r, half = _sqrt(ctx, _disc(ctx, f), rng), ctx.inv(ctx.from_int(2))
+        return [[ctx.mul(ctx.add(f[1], v), half), ctx.one]
+                for v in (r, ctx.neg(r))]
+    for _ in range(SPLIT_TRIES):
         if s is None:
             u = ([ctx.rand_elem(rng), ctx.one] if d == 1 and q % 2 else
                  uni_trim(ctx, [ctx.rand_elem(rng) for _ in range(n)]))
@@ -859,6 +925,9 @@ def _uni_edf(ctx, f, d, rng, s=None):
         if 0 < uni_deg(g) < n:
             return (_uni_edf(ctx, g, d, rng)
                     + _uni_edf(ctx, uni_quo(ctx, f, g), d, rng))
+    raise InternalError(f"equal-degree split: no split of a degree-{n} "
+                        f"product of degree-{d} factors over F_{q} in "
+                        f"SPLIT_TRIES = {SPLIT_TRIES} tries")
 
 
 def _flat(f):
@@ -882,7 +951,11 @@ def uni_factor(ctx, f):
     Zassenhaus 1981).  Over odd q one power s = x^((q - 1)/2) mod g serves
     twice: x^q = x s^2 gives the linear part L = gcd(g, x^q - x), and
     gcd(L, s - 1) its nonzero square roots; random (x + a)^((q - 1)/2) split
-    only what that leaves whole (Rabin 1980).  Char 2 splits by the trace.
+    only what that leaves whole (Rabin 1980).  A quadratic, a part g or a
+    piece of L, takes no power: x^2 + bx + c splits iff its discriminant
+    b^2 - 4c is a square, by Euler's criterion, into the roots (-b +- r)/2,
+    r its Tonelli-Shanks square root (Shanks 1973).  Char 2 splits by the
+    trace.
     """
     if ctx.characteristic == 0:
         raise Char0Unsupported("factorization needs a finite field")
@@ -950,11 +1023,15 @@ def uni_rational_roots(ctx, f):
 
 
 def _uni_is_irreducible(ctx, f):
-    """Rabin's test for monic f of degree >= 1 over a finite field."""
+    """Rabin's test for monic f of degree >= 1 over a finite field; over
+    odd q a quadratic is irreducible iff its discriminant is a non-square."""
     n = uni_deg(f)
     if n == 1:
         return True
     q = ctx.order
+    if q % 2 and n == 2:
+        disc = _disc(ctx, f)
+        return not ctx.is_zero(disc) and not _is_square(ctx, disc)
     x = [ctx.zero, ctx.one]
     xm = uni_rem(ctx, x, f)
     if uni_pow_mod(ctx, x, q ** n, f) != xm:

@@ -20,9 +20,10 @@ area of the pair's Newton polygons after the monomial charges.  E is the
 value of a Newton non-degenerate pair and, on every pair measured, at
 most the value.  A failed round is followed by one at
 max(reach + 1, floor(3n/2) + 1), reach the acc it got to.  A pair sharing
-a branch certifies no finite value, so one exact gcd runs after the first
-failed round at n >= 4(E + 1); without a shared branch every round past
-the Bezout bound certifies, and one that does not is a fault.
+a branch certifies no finite value, so one exact gcd runs before any
+round but the first that would start at n >= 4(E + 1); without a shared
+branch every round past the Bezout bound certifies, and one that does not
+is a fault.
 
 A round holds each polynomial as dense y-rows: row j lists the
 x-coefficients of y^j and is at most n - acc - j long, so the cut is each
@@ -165,9 +166,10 @@ def local_intersection(g, h):
     is E; an axis dividing both is a shared branch before any round.  A
     failed round is followed by one at max(reach + 1, floor(3n/2) + 1),
     reach the acc it got to.  A finite value never certifies when the pair
-    shares a branch, so the exact gcd runs once, after the first failed
-    round at n >= 4(E + 1) or past the Bezout bound deg(g)*deg(h); a
-    round past that bound that still fails is a logic fault.
+    shares a branch, so the exact gcd runs once, before any round but the
+    first that would start at n >= 4(E + 1) or past the Bezout bound
+    deg(g)*deg(h); a round past that bound that fails after the gcd is a
+    logic fault.
     """
     if g.ctx != h.ctx:
         raise InternalError("mixed coefficient contexts")
@@ -189,14 +191,15 @@ def local_intersection(g, h):
     reach = []
     n = est + 1
     while (v := _reduce_pair(ctx, gr, hr, n, reach)) is None:
+        # fence is INF once the gcd found no shared branch
+        if n > bound and fence == INF:
+            raise InternalError(
+                "reduction failed to certify beyond the Bezout bound")
+        n = max(reach[-1] + 1, 3 * n // 2 + 1)
         if n >= fence:
             if vanishes_at_origin(gcd_bipoly(g, h)):
                 return LocalMult(INF)
             fence = INF
-        if n > bound:
-            raise InternalError(
-                "reduction failed to certify beyond the Bezout bound")
-        n = max(reach[-1] + 1, 3 * n // 2 + 1)
     return LocalMult(v)
 
 

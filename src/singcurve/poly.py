@@ -91,6 +91,9 @@ class BiPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.c) == 1:
+            ((i, j), v), = self.c.items()
+            return BiPoly(self.ctx, {(i * n, j * n): self.ctx.pow(v, n)})
         r = BiPoly.const(self.ctx, self.ctx.one)
         b = self
         while n:

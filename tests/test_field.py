@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singcurve import field
 from singcurve.errors import (Char0IrreducibleRemainder, DivisionByZero,
-                              InputError)
+                              InputError, InternalError)
 from singcurve.field import (EXT_DEGREE_LIMIT, PRIME_TEST_LIMIT, ExtFieldCtx,
                              PrimeFieldCtx, adjoin_splitting, embedding,
                              field_ctx, is_prime, uni_deg, uni_divmod,
@@ -384,13 +384,7 @@ def test_prime_field_int_kernels_match_the_element_bodies(case):
             assert all(0 <= c < p for c in flat), key
 
 
-def test_a_root_split_shares_the_frobenius_power(monkeypatch):
-    # over F_101 x^50 mod f gives x^101 = x (x^50)^2 for the degree-1 step
-    # and, as gcd(f, x^50 - 1), the split of the square root 4 from the
-    # non-square root 2: one powering where the parent's x^q and its first
-    # equal-degree power made two
-    ctx = field_ctx(101)
-    assert pow(4, 50, 101) == 1 and pow(2, 50, 101) == 100
+def _count_powers(monkeypatch):
     powers = []
     real = field.uni_pow_mod
 
@@ -399,9 +393,113 @@ def test_a_root_split_shares_the_frobenius_power(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(field, "uni_pow_mod", counted)
-    _, fac = uni_factor(ctx, uni_mul(ctx, [97, 1], [99, 1]))
-    assert fac == [([97, 1], 1), ([99, 1], 1)]
+    return powers
+
+
+def test_a_root_split_shares_the_frobenius_power(monkeypatch):
+    # over F_101 x^50 mod f gives x^101 = x (x^50)^2 for the degree-1 step
+    # and, as gcd(f, x^50 - 1), the split of the square roots 4 and 5 from
+    # the non-square root 2; the quadratic formula parts 4 from 5, so one
+    # power serves the whole cubic
+    ctx = field_ctx(101)
+    assert pow(4, 50, 101) == pow(5, 50, 101) == 1
+    assert pow(2, 50, 101) == 100
+    powers = _count_powers(monkeypatch)
+    _, fac = uni_factor(ctx, uni_mul(ctx, uni_mul(ctx, [97, 1], [96, 1]),
+                                     [99, 1]))
+    assert fac == [([96, 1], 1), ([97, 1], 1), ([99, 1], 1)]
     assert powers == [50]
+
+
+@pytest.mark.parametrize("f, want", [
+    ([8, 95, 1], [([97, 1], 1), ([99, 1], 1)]),  # (x - 4)(x - 2)
+    ([0, 98, 1], [([0, 1], 1), ([98, 1], 1)]),  # x (x - 3)
+    ([99, 0, 1], [([99, 0, 1], 1)]),  # x^2 - 2, 2 a non-square
+])
+def test_a_quadratic_needs_no_polynomial_power(monkeypatch, f, want):
+    powers = _count_powers(monkeypatch)
+    assert uni_factor(field_ctx(101), f) == (1, want)
+    assert powers == []
+
+
+_QUAD_CTXS = [field_ctx(p) for p in (3, 5, 13, 17, 101, 32003)] + [
+    field_ctx(3, 2), field_ctx(7, 2)]
+
+
+def _elem(ctx):
+    coord = st.integers(0, ctx.p - 1)
+    return coord if ctx.ext_degree == 1 else st.tuples(*[coord] * ctx.k)
+
+
+def _planted(ctx):
+    return st.tuples(st.just(ctx), st.lists(_elem(ctx), unique=True,
+                                            max_size=5),
+                     st.lists(st.tuples(_elem(ctx), _elem(ctx)), max_size=3))
+
+
+def _irreducible_quadratic(ctx, f):
+    if ctx.ext_degree == 1:
+        return sympy_factor_fp(f, ctx.p) == [(tuple(f), 1)]
+    return not brute_roots(ctx, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_QUAD_CTXS).flatmap(_planted))
+def test_planted_linear_and_quadratic_factors_come_back(case):
+    # distinct roots and distinct irreducible quadratics, multiplied out,
+    # factor into exactly those, over q = 3 mod 4 and 2-adic parts 2 to 16
+    ctx, roots, pairs = case
+    quads = []
+    for c, b in pairs:
+        quad = [c, b, ctx.one]
+        if quad not in quads and _irreducible_quadratic(ctx, quad):
+            quads.append(quad)
+    planted = [[ctx.neg(r), ctx.one] for r in roots] + quads
+    assume(planted)
+    f = [ctx.one]
+    for g in planted:
+        f = uni_mul(ctx, f, g)
+    lead, fac = uni_factor(ctx, f)
+    assert lead == ctx.one
+    assert fac == sorted(((g, 1) for g in planted),
+                         key=lambda fm: (uni_deg(fm[0]), field._flat(fm[0])))
+    if ctx.ext_degree == 1:
+        assert sorted((tuple(g), m) for g, m in fac) == \
+            sympy_factor_fp(f, ctx.p)
+
+
+@pytest.mark.parametrize("ctx", [
+    field_ctx(3), field_ctx(5), field_ctx(13), field_ctx(17),
+    field_ctx(3, 2), field_ctx(5, 2), field_ctx(7, 2)], ids=repr)
+def test_sqrt_of_every_nonzero_square(ctx):
+    # q - 1 = 2, 4, 12, 16, 8, 24 and 48: every 2-adic part from 2 to 16
+    rng = random.Random(3)
+    for a in _squares(ctx):
+        r = field._sqrt(ctx, a, rng)
+        assert ctx.mul(r, r) == a
+
+
+class _SameDraw:
+    """An rng that always draws the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def randrange(self, *args):
+        return self.value
+
+
+@pytest.mark.parametrize("p, run, stage", [
+    # x + 0 is a square mod each root 1, 4 and 9 of the cubic: no split
+    (101, lambda ctx, rng: field._uni_edf(
+        ctx, uni_mul(ctx, uni_mul(ctx, [100, 1], [97, 1]), [92, 1]), 1, rng),
+     "equal-degree split"),
+    # 4 = 2^2 has 4^3 != 1 in F_13, and 0 is never a non-residue
+    (13, lambda ctx, rng: field._sqrt(ctx, 4, rng), "square root"),
+], ids=["edf", "sqrt"])
+def test_random_retries_are_bounded(p, run, stage):
+    with pytest.raises(InternalError, match=stage):
+        run(field_ctx(p), _SameDraw(0))
 
 
 def _linear_factors(ctx, roots):

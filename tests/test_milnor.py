@@ -351,14 +351,14 @@ def _shared_branch_over_f8():
 
 def test_the_gcd_fence_stops_a_shared_branch_early(monkeypatch):
     # Bezout bound 504: the rounds ran to n = 512 before the gcd, 6.3 s; the
-    # fence runs it once, after the first failed round at n >= 4(E + 1)
+    # fence runs it once, before the first round that would start at
+    # n >= 4(E + 1), so no round reaches the fence
     f, g = _shared_branch_over_f8()
     e = milnor._newton_estimate(f, g)
     ns, gcds = _rounds(monkeypatch), _gcd_calls(monkeypatch)
     assert local_intersection(f, g).value == INF
     assert len(gcds) == 1
-    assert ns[0] == e + 1 and ns[-1] >= 4 * (e + 1) > ns[-2]
-    assert max(ns) < 128
+    assert ns[0] == e + 1 and max(ns) < 4 * (e + 1)
 
 
 @pytest.mark.parametrize("reach, want", [

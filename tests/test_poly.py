@@ -67,6 +67,20 @@ def test_a_power_squares_only_while_bits_remain(monkeypatch):
     assert power == quad * quad * quad * quad
 
 
+@pytest.mark.parametrize("ctx, v", [
+    (F5, 3), (F5, 8), (field_ctx(3, 2), (1, 2)), (field_ctx(0), -2),
+    (field_ctx(0), Fraction(2, 3))], ids=repr)
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+def test_a_monomial_power_takes_no_product(monkeypatch, ctx, v, n):
+    # (v x^2 y^3)^n is v^n x^(2n) y^(3n) in one step; 8 is 3 mod 5
+    base = BiPoly(ctx, {(2, 3): v})
+    want = BiPoly.const(ctx, ctx.one)
+    for _ in range(n):
+        want = want * base
+    monkeypatch.setattr(BiPoly, "__mul__", None)
+    assert (base ** n).c == want.c
+
+
 def test_parse_generator():
     f9 = field_ctx(3, 2)
     f = parse_poly("g*x + g^2", f9)
