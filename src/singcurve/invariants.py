@@ -14,8 +14,8 @@ from .errors import (DisconnectedNodes, InputError, InternalError,
                      OrderMismatch, ParityViolation, PrecisionExhausted)
 from .field import uni_order
 from .hn import hn_map
-from .poly import (_clip_rows, _to_yrows, clip_total, gcd_bipoly,
-                   vanishes_at_origin)
+from .poly import (_clip_rows, _shares_origin_branch, _to_yrows,
+                   clip_total, vanishes_at_origin)
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity
 
 INF = math.inf
@@ -483,12 +483,19 @@ def parametrize_branch(f, terms=64):
 def _origin_gate(f, g):
     """The answer of an intersection engine before any branch work: 0 when
     either curve misses the origin, INF when they share a branch through
-    it, None otherwise."""
+    it, None otherwise.
+
+    One image rules the shared branch out when it can: coprime f(a, y)
+    and g(a, y) at an a != 0 with lc_y f(a) != 0 exclude every common
+    factor of positive y-degree (its lc_y divides lc_y f, so it keeps its
+    y-degree at a and divides both images), and x not dividing both
+    excludes the rest.  Other pairs take the exact gcd.
+    """
     if f.ctx != g.ctx:
         raise InternalError("mixed coefficient contexts")
     if not vanishes_at_origin(f) or not vanishes_at_origin(g):
         return 0
-    if vanishes_at_origin(gcd_bipoly(f, g)):
+    if _shares_origin_branch(f, g):
         return INF
     return None
 

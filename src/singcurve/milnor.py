@@ -20,10 +20,10 @@ area of the pair's Newton polygons after the monomial charges.  E is the
 value of a Newton non-degenerate pair and, on every pair measured, at
 most the value.  A failed round is followed by one at
 max(reach + 1, floor(3n/2) + 1), reach the acc it got to.  A pair sharing
-a branch certifies no finite value, so one exact gcd runs before any
-round but the first that would start at n >= 4(E + 1); without a shared
-branch every round past the Bezout bound certifies, and one that does not
-is a fault.
+a branch certifies no finite value, so one shared-branch test runs before
+any round but the first that would start at n >= 4(E + 1); without a
+shared branch every round past the Bezout bound certifies, and one that
+does not is a fault.
 
 A round holds each polynomial as dense y-rows: row j lists the
 x-coefficients of y^j and is at most n - acc - j long, so the cut is each
@@ -38,9 +38,9 @@ from .errors import InternalError, NotAUnit, TruncationUnstable
 from .field import uni_divmod, uni_order
 from .invariants import INF
 from .newton import newton_polygon
-from .poly import (_clip_rows, _rows_strip, _rows_trim, _to_yrows,
-                   clip_total, gcd_bipoly, partials, reduce_mod,
-                   reduced_check, vanishes_at_origin)
+from .poly import (_clip_rows, _rows_strip, _rows_trim,
+                   _shares_origin_branch, _to_yrows, clip_total, partials,
+                   reduce_mod, reduced_check, vanishes_at_origin)
 from .tree import build_tree, minimalize, tree_multiplicity, vertex_report
 
 
@@ -166,10 +166,14 @@ def local_intersection(g, h):
     is E; an axis dividing both is a shared branch before any round.  A
     failed round is followed by one at max(reach + 1, floor(3n/2) + 1),
     reach the acc it got to.  A finite value never certifies when the pair
-    shares a branch, so the exact gcd runs once, before any round but the
+    shares a branch, so that is tested once, before any round but the
     first that would start at n >= 4(E + 1) or past the Bezout bound
-    deg(g)*deg(h); a round past that bound that fails after the gcd is a
-    logic fault.
+    deg(g)*deg(h); a round past that bound that fails after the test is a
+    logic fault.  The test tries one image first: if g(a, y) and h(a, y)
+    are coprime at an a != 0 with lc_y g(a) != 0, no common factor has
+    positive y-degree (its lc_y divides lc_y g, so it would keep its
+    y-degree at a and divide both images), and x, the one factor left
+    through the origin, divides at most one; else the exact gcd runs.
     """
     if g.ctx != h.ctx:
         raise InternalError("mixed coefficient contexts")
@@ -191,13 +195,13 @@ def local_intersection(g, h):
     reach = []
     n = est + 1
     while (v := _reduce_pair(ctx, gr, hr, n, reach)) is None:
-        # fence is INF once the gcd found no shared branch
+        # fence is INF once the test found no shared branch
         if n > bound and fence == INF:
             raise InternalError(
                 "reduction failed to certify beyond the Bezout bound")
         n = max(reach[-1] + 1, 3 * n // 2 + 1)
         if n >= fence:
-            if vanishes_at_origin(gcd_bipoly(g, h)):
+            if _shares_origin_branch(g, h):
                 return LocalMult(INF)
             fence = INF
     return LocalMult(v)

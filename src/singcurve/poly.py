@@ -12,8 +12,8 @@ import itertools
 
 from .errors import ParseError, ZeroPolynomial
 from .field import (ExtFieldCtx, PrimeFieldCtx, embedding, uni_add, uni_deg,
-                    uni_eval, uni_gcd, uni_mul, uni_order, uni_quo, uni_scale,
-                    uni_sub, uni_trim)
+                    uni_deriv, uni_eval, uni_gcd, uni_mul, uni_order, uni_quo,
+                    uni_scale, uni_sub, uni_trim)
 
 
 class BiPoly:
@@ -517,6 +517,58 @@ def gcd_bipoly(f, g):
         ctx, {(i + min(af, ag), min(bf, bg)): v for i, v in enumerate(cont)})
 
 
+def _image(f, a):
+    """f(a, y) as a coefficient list in y."""
+    ctx = f.ctx
+    out = [ctx.zero] * (f.deg_y() + 1)
+    for (i, j), v in f.c.items():
+        out[j] = ctx.add(out[j], ctx.mul(v, ctx.pow(a, i)))
+    return uni_trim(ctx, out)
+
+
+def _coprime_image(f, g=None):
+    """Whether gcd(f(a, y), g(a, y)) = 1 in K[y] at the first a != 0 of
+    ctx.elements() (1, 2, ... over Q) where lc_y f(a) != 0; g None stands
+    for f_y, whose image is the y-derivative of f(a, y).  False when there
+    is no such a.
+
+    True proves that f and g share no factor of positive y-degree: such a
+    factor h has lc_y h | lc_y f, so h(a, y) keeps its y-degree and divides
+    both images.  The point 0 is of no use: a singular germ that x does
+    not divide has f(0, y) = y^k * unit with k >= 2.
+    """
+    ctx = f.ctx
+    points = (ctx.elements() if ctx.characteristic
+              else map(ctx.from_int, itertools.count(1)))
+    for a in points:
+        if ctx.is_zero(a):
+            continue
+        u = _image(f, a)
+        if len(u) > f.deg_y():  # lc_y f(a) != 0
+            v = uni_deriv(ctx, u) if g is None else _image(g, a)
+            return len(uni_gcd(ctx, u, v)) == 1
+    return False
+
+
+def _x_order(f):
+    return min(i for i, _ in f.c)
+
+
+def _shares_origin_branch(f, g):
+    """Whether f and g share a branch through the origin: whether
+    gcd_bipoly(f, g) vanishes there.
+
+    One image answers most pairs first.  When _coprime_image holds, every
+    common factor lies in K[x], and the only one through the origin is x;
+    so if x does not divide both, they share no branch through it.  Any
+    other pair, zero included, goes to the exact gcd.
+    """
+    if (not f.is_zero() and not g.is_zero()
+            and not (_x_order(f) and _x_order(g)) and _coprime_image(f, g)):
+        return False
+    return vanishes_at_origin(gcd_bipoly(f, g))
+
+
 def reduce_mod(f, p):
     """Image in F_p of f over Q: (BiPoly, None), or (None, reason) when p
     divides a denominator or the image vanishes."""
@@ -536,17 +588,25 @@ def reduce_mod(f, p):
 def reduced_check(f):
     """(is_reduced_as_a_germ, witness).
 
-    Three stages.  A unit is reduced.  When f lies in K[x^p, y^p] it is a
-    p-th power, and its p-th root is the witness.  Otherwise f is reduced
-    at the origin iff d = gcd(f, f_x, f_y) does not vanish there, and d is
-    the witness, scaled so that the coefficient of its largest key (i, j)
-    is 1.  d is one exact gcd_bipoly: x evaluated at the integers over Q,
-    at the elements of F_q, and at those of F_{q^2} when F_q has too few.
+    Four stages.  A unit is reduced.  When neither x^2 nor y^2 divides f,
+    one squarefree image f(a, y) proves f reduced (_coprime_image with
+    g = f_y): f and f_y then share no factor of positive y-degree, so
+    gcd(f, f_x, f_y) lies in K[x], and x divides it only when x^2 divides
+    f.  When f lies in K[x^p, y^p] it is a p-th power, and its p-th root
+    is the witness.  Otherwise f is reduced at the origin iff
+    d = gcd(f, f_x, f_y) does not vanish there, and d is the witness,
+    scaled so that the coefficient of its largest key (i, j) is 1.  d is
+    two exact gcd_bipoly calls: x evaluated at the integers over Q, at the
+    elements of F_q, and at those of F_{q^2} when F_q has too few.
     """
     ctx = f.ctx
     if f.is_zero():
         raise ZeroPolynomial("reduced_check of the zero polynomial")
     if not vanishes_at_origin(f):
+        return True, None
+    # a p-th power never passes: its images lie in K[y^p]
+    if (_x_order(f) < 2 and min(j for _, j in f.c) < 2
+            and _coprime_image(f)):
         return True, None
     fx, fy = partials(f)
     if fx.is_zero() and fy.is_zero():

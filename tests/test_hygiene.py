@@ -115,6 +115,14 @@ def test_crosschecks_import_only_the_stdlib_and_the_package():
     assert found - {"singcurve"} <= sys.stdlib_module_names, found
 
 
+def test_only_poly_py_names_the_exact_gcd():
+    # every yes/no gcd question goes through poly._shares_origin_branch or
+    # reduced_check, which try one image before gcd_bipoly
+    trees, _ = _package_code()
+    assert {name for name, tree in trees
+            if "gcd_bipoly" in set(_names(tree))} == {"poly.py"}
+
+
 def _bench_layers():
     spec = importlib.util.spec_from_file_location(
         "bench_layers", ROOT / "perfbench" / "layers.py")

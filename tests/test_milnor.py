@@ -11,15 +11,15 @@ import time
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from singcurve import invariants, milnor
+from singcurve import invariants, milnor, poly
 from singcurve.errors import InternalError, NotAUnit, TruncationUnstable
 from singcurve.field import field_ctx
 from singcurve.invariants import INF, intersect_param, intersect_tree, mu_bar
 from singcurve.milnor import _reduce_pair, check_conjecture, \
     local_intersection, milnor_number
 from singcurve.newton import newton_polygon
-from singcurve.poly import BiPoly, _to_yrows, clip_total, gcd_bipoly, \
-    parse_poly, partials, vanishes_at_origin
+from singcurve.poly import BiPoly, _to_yrows, clip_total, parse_poly, \
+    partials, vanishes_at_origin
 
 from crosschecks import is_nd_face, is_nnd, polar_intersection
 from curves import EX1, EX2, four_lines
@@ -288,16 +288,24 @@ def test_a_round_reports_the_precision_it_reached():
     assert reach == [41, 34]
 
 
-def _gcd_calls(monkeypatch):
-    """The first arguments of the gcd_bipoly calls that follow."""
+def _calls(monkeypatch, owner, name):
+    """The first arguments of the calls of owner.name that follow."""
     calls = []
+    fn = getattr(owner, name)
 
     def counted(a, b):
         calls.append(a)
-        return gcd_bipoly(a, b)
+        return fn(a, b)
 
-    monkeypatch.setattr(milnor, "gcd_bipoly", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _fence_calls(monkeypatch):
+    """The shared-branch tests of the gcd fence, and the exact gcds they
+    fall back to, that follow."""
+    return (_calls(monkeypatch, milnor, "_shares_origin_branch"),
+            _calls(monkeypatch, poly, "gcd_bipoly"))
 
 
 _monomial = st.tuples(st.integers(0, 2), st.integers(0, 2))
@@ -352,12 +360,13 @@ def _shared_branch_over_f8():
 def test_the_gcd_fence_stops_a_shared_branch_early(monkeypatch):
     # Bezout bound 504: the rounds ran to n = 512 before the gcd, 6.3 s; the
     # fence runs it once, before the first round that would start at
-    # n >= 4(E + 1), so no round reaches the fence
+    # n >= 4(E + 1), so no round reaches the fence; the shared branch
+    # survives in every image, so the one test takes the exact gcd
     f, g = _shared_branch_over_f8()
     e = milnor._newton_estimate(f, g)
-    ns, gcds = _rounds(monkeypatch), _gcd_calls(monkeypatch)
+    ns, (tests, gcds) = _rounds(monkeypatch), _fence_calls(monkeypatch)
     assert local_intersection(f, g).value == INF
-    assert len(gcds) == 1
+    assert len(tests) == len(gcds) == 1
     assert ns[0] == e + 1 and max(ns) < 4 * (e + 1)
 
 
@@ -369,9 +378,11 @@ def test_a_round_that_never_certifies_is_a_fault_past_the_bezout_bound(
         monkeypatch, reach, want):
     # E = 4 and the Bezout bound is 8 * 3 = 24: with no common branch a
     # round past 24 certifies, so one that does not is an InternalError;
-    # the one gcd runs at n >= 4(E + 1) = 20, however many rounds follow
+    # the one shared-branch test runs at n >= 4(E + 1) = 20, however many
+    # rounds follow; both images at x = 1 vanish at y = 1, so it takes the
+    # exact gcd
     f, g = _q("(x^2 - y^3)(1 + x^5)"), _q("x^3 - y^2")
-    ns, gcds = [], _gcd_calls(monkeypatch)
+    ns, (tests, gcds) = [], _fence_calls(monkeypatch)
 
     def never(ctx, a, b, n, acc):
         ns.append(n)
@@ -380,7 +391,7 @@ def test_a_round_that_never_certifies_is_a_fault_past_the_bezout_bound(
     monkeypatch.setattr(milnor, "_reduce_pair", never)
     with pytest.raises(InternalError):
         local_intersection(f, g)
-    assert ns == want and len(gcds) == 1
+    assert ns == want and len(tests) == len(gcds) == 1
 
 
 def _timed_mu(text, p):

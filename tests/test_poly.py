@@ -16,7 +16,7 @@ from singcurve.poly import (BiPoly, clip_total, gcd_bipoly, parse_poly,
                             partials, poly_str, reduced_check,
                             vanishes_at_origin)
 
-from curves import EX1, EX2
+from curves import EX1, EX2, four_lines
 from oracles import full_product, gcd_prs, small_elem, substitute
 
 QQ = field_ctx(0)
@@ -333,19 +333,69 @@ _reduced_terms = st.dictionaries(
     st.tuples(st.integers(-4, 4), st.integers(0, 3)), max_size=3)
 
 
-@settings(max_examples=300, deadline=None)
+def _factor_shapes(ctx, h):
+    """h, h^2, (1 + x)^2, (1 + y)^2, x^2 and y^p + x: square factors off
+    and through the origin, and a reduced factor every image of which is
+    inseparable (y^2 + x over Q)."""
+    x, y = BiPoly.monomial(ctx, 1, 0), BiPoly.monomial(ctx, 0, 1)
+    one = BiPoly.const(ctx, ctx.one)
+    return [h, h * h, (one + x) ** 2, (one + y) ** 2, x * x,
+            y ** (ctx.characteristic or 2) + x]
+
+
+@settings(max_examples=400, deadline=None)
 @given(st.sampled_from(GCD_CTXS), _reduced_terms, _reduced_terms,
-       st.booleans())
-def test_reduced_check_matches_the_prs(ctx, ht, at, square):
-    # the PRS oracle is slow over Q beyond y-degree 6 or so
+       st.integers(0, 5))
+def test_reduced_check_matches_the_prs(ctx, ht, at, shape):
+    # the one-image certificate and the exact path against the PRS, which
+    # is slow over Q beyond y-degree 6 or so
     h, a = (_from_terms(ctx, t) for t in (ht, at))
-    f = h * h * a if square else h * a
+    f = _factor_shapes(ctx, h)[shape] * a
     fx, fy = partials(f)
     if f.is_zero() or (fx.is_zero() and fy.is_zero()):
         return
     d = gcd_prs(gcd_prs(f, fx), fy)
     want = (False, d) if vanishes_at_origin(d) else (True, None)
     assert reduced_check(f) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(GCD_CTXS), _reduced_terms, _reduced_terms,
+       _reduced_terms, st.integers(0, 5), st.integers(0, 5))
+def test_the_shared_branch_test_matches_the_prs(ctx, ht, at, bt, sf, sg):
+    # each side takes one of the shapes, so they share h, an axis, a
+    # square off the origin or nothing; an empty draw gives a zero side
+    fs = _factor_shapes(ctx, _from_terms(ctx, ht))
+    f, g = (fs[s] * _from_terms(ctx, t) for s, t in ((sf, at), (sg, bt)))
+    want = vanishes_at_origin(gcd_prs(f, g))
+    assert poly._shares_origin_branch(f, g) == want
+
+
+def test_one_image_certifies_the_sweep_germs(monkeypatch):
+    # EX1, EX2 and the four-lines germs of the per-prime sweep, and a
+    # reduced random germ, need no exact gcd; a square that every image
+    # keeps, or a field whose one nonzero point is a root of lc_y f,
+    # still sends the check to its two exact gcds
+    calls = []
+    gcd = poly.gcd_bipoly
+
+    def counted(f, g):
+        calls.append(f)
+        return gcd(f, g)
+
+    monkeypatch.setattr(poly, "gcd_bipoly", counted)
+    f101 = field_ctx(101)
+    lines = [(1, 2, 3, 4), (0, 0, 1, 2), (0, 0, 0, 1), (0, 0, 0, 0)]
+    germs = [parse_poly(t, field_ctx(10007))
+             for t in [EX1, EX2] + [four_lines(a) for a in lines]]
+    g = _rand_support(f101, random.Random(7), 8, 12)
+    germs.append(g - BiPoly.const(f101, g.coeff(0, 0)))
+    assert all(reduced_check(g) == (True, None) for g in germs)
+    assert calls == []
+    for ctx, square in ((f101, "(1 + y)^2"), (F2, "(1 + x)^2")):
+        g = parse_poly(f"{square} (y^2 - x^3 + x y)", ctx)
+        assert reduced_check(g) == (True, None)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("ctx, h, steps", [
@@ -435,6 +485,9 @@ def test_the_row_content_skips_empty_rows(ctx, monkeypatch):
         return gcd(k, a, row)
 
     monkeypatch.setattr(poly, "uni_gcd", counting)
-    ok, _ = reduced_check(parse_poly("x^2 - y^9999", ctx))
-    assert ok
+    # reduced_check answers this germ from one image, so the exact path it
+    # falls back to is called directly
+    f = parse_poly("x^2 - y^9999", ctx)
+    fx, fy = partials(f)
+    assert gcd_bipoly(gcd_bipoly(f, fx), fy) == BiPoly.const(ctx, ctx.one)
     assert len(calls) == 3 and all(calls)
