@@ -355,10 +355,13 @@ def _horner_s(ctx, rows, s, o, n, dn):
     """(w(t, s) mod t^n, w_y(t, s) mod t^dn) for w = sum_j rows[j](t) s^j,
     ord s >= o >= 1 and dn <= n - o.
 
-    One Horner pass in s carries the value V and its s-derivative D:
-    (V, D) <- (V s + r_j, D s + V).  Whatever the pass holds after row j
-    is multiplied by s^j later, so that step works mod t^(n - j o), and D
-    is only carried once j o < dn.
+    Order lemma: row j enters the value multiplied by s^j, of order at
+    least j o, so rows j >= ceil(n / o) cannot reach t^n and are dropped,
+    and whatever the pass holds after row j works mod t^(n - j o).  One
+    Horner pass in s carries the value V and its s-derivative D:
+    (V, D) <- (V s + r_j, D s + V), D only once j o < dn.  _ser_eval
+    passes o = ord psi; _solve_smooth passes o = ord w(X, 0), the order
+    of its solution.
     """
     top = min(len(rows), -(-n // o)) - 1
     val = rows[top][:n - top * o]
@@ -375,8 +378,13 @@ def _horner_s(ctx, rows, s, o, n, dn):
 def _solve_smooth(w, n):
     """Series s with w(t, s(t)) = 0 mod t^n, for w of Y-order one at X=0.
 
-    Newton iteration on the chart curve with x = t: row j of w, the series
-    sum_i c_ij t^i, is cut at length n - j since ord s >= 1.
+    Order lemma: w(t, s) = w(t, 0) + s u(t, s) with u(0, 0) = w_y(0, 0)
+    != 0, so the solution has ord s = v = ord w(X, 0), and s = 0 when
+    w(X, 0) vanishes mod X^n.  Newton iteration on the chart curve with
+    x = t therefore starts from s = 0, valid mod t^v, and doubles the
+    valid order from there; every _horner_s pass, the final check
+    included, runs with o = v.  Row j of w, the series sum_i c_ij t^i,
+    is cut at length n - j.
     """
     ctx = w.ctx
     order = uni_order(ctx, w.subs_x0())
@@ -384,18 +392,19 @@ def _solve_smooth(w, n):
         raise InternalError(f"chart curve has Y-order {order}, wanted 1")
     rows = _clip_rows(ctx, _to_yrows(w), n)[0]
     s = _ser_zero(ctx, n)
-    prec = 1
+    v = prec = uni_order(ctx, rows[0]) or n
     while prec < n:
         # each Newton round doubles the valid order h, so work at the
         # precision the round is about to reach; w(t, s) = O(t^h), so
-        # the correction needs w_y(t, s) only mod t^(prec - h)
+        # the correction needs w_y(t, s) only mod t^(prec - h), and
+        # prec - h <= prec - v since h >= v
         h, prec = prec, min(2 * prec, n)
-        val, der = _horner_s(ctx, rows, s[:prec], 1, prec, prec - h)
+        val, der = _horner_s(ctx, rows, s[:prec], v, prec, prec - h)
         corr = _ser_div(ctx, val[h:], der, prec - h)
         for k, ck in enumerate(corr, h):
             if not ctx.is_zero(ck):
                 s[k] = ctx.sub(s[k], ck)
-    if uni_order(ctx, _horner_s(ctx, rows, s, 1, n, 0)[0]) is not None:
+    if uni_order(ctx, _horner_s(ctx, rows, s, v, n, 0)[0]) is not None:
         raise InternalError("Newton iteration failed to converge")
     return s
 

@@ -216,6 +216,32 @@ def test_rational_gcd_matches_euclid_on_fractions(h, f, g):
         assert got[-1] == 1 and len(got) >= len(h)
 
 
+def _fp_gcd_case(p):
+    # full-range coefficients next to small ones, which give common
+    # factors more often
+    entry = st.one_of(st.integers(0, 2), st.integers(0, p - 1))
+    poly = st.lists(entry, max_size=6)
+    return st.tuples(st.just(p), poly, poly, poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 101, 32003, 2 ** 31 - 1]).flatmap(_fp_gcd_case))
+@example((2, [1, 1], [1, 1], [0, 1]))
+@example((101, [], [3], [5, 0, 7]))
+def test_prime_field_gcd_matches_euclid(case):
+    # f and g share the planted factor h; the remainder kernel on int lists
+    # gives the monic gcd of Euclid with a field division at every step
+    p, h, f, g = case
+    ctx = field_ctx(p)
+    h, f, g = (uni_trim(ctx, r) for r in (h, f, g))
+    f, g = uni_mul(ctx, h, f), uni_mul(ctx, h, g)
+    got = uni_gcd(ctx, f, g)
+    assert got == euclid_gcd(ctx, f, g)
+    assert all(0 <= c < p for c in got)
+    if f or g:
+        assert got[-1] == 1 and len(got) >= len(h)
+
+
 def _series_entries(ctx):
     if ctx.characteristic == 0:
         # Fractions with up to 30-digit parts, and plain ints

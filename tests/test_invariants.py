@@ -6,25 +6,29 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from singcurve import invariants
 from singcurve.errors import (InternalError, NotIrreducible,
                               NotIrreducibleBranchShape, PrecisionExhausted)
-from singcurve.field import field_ctx
+from singcurve.field import field_ctx, uni_order
 from singcurve.invariants import (INF, Parametrization, ZariskiSeq,
                                   area_identity, delta, intersect_param,
                                   intersect_tree, mu_bar, parametrize_branch,
                                   rho, semigroup_gaps, tree_delta,
                                   tree_mu_bar, zariski_sequence)
 from singcurve.invariants import (_off_path_product, _parametrize_arrow,
-                                  _ser_eval, _tree_path)
+                                  _ser_eval, _solve_smooth, _tree_path)
 from singcurve.milnor import local_intersection
 from singcurve.poly import BiPoly, parse_poly
 from singcurve.tree import build_tree, build_tree_multi, minimalize
 
 from crosschecks import delta_additivity_check
 from curves import EX1, EX2, four_lines
-from oracles import (horner_eval, reference_parametrization, rho_bar_path,
-                     resultant_order, semigroup_from_generators, series_order)
+from oracles import (horner_eval, newton_solve, reference_parametrization,
+                     rho_bar_path, resultant_order, semigroup_from_generators,
+                     series_order, small_elem)
 from test_properties import _rand_branch
 
 QQ = field_ctx(0)
@@ -297,6 +301,64 @@ def test_series_substitution_matches_the_reference_horner():
             phi = _rand_series(ctx, rng, rng.choice((1, 2, 5, n)), n)
             psi = _rand_series(ctx, rng, rng.choice((1, 3, 4, n)), n)
             assert _ser_eval(g, phi, psi, n) == horner_eval(g, phi, psi, n)
+
+
+SOLVE_CTXS = (field_ctx(3), field_ctx(101), field_ctx(32003),
+              field_ctx(7, 2), QQ)
+_small = st.tuples(st.integers(-4, 4), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SOLVE_CTXS), st.integers(2, 64),
+       st.sampled_from([None, 1, 2, 7, ("n", -1), ("n", 0), ("n", 5)]),
+       st.lists(_small, min_size=1, max_size=4),
+       st.dictionaries(st.tuples(st.integers(0, 5), st.integers(1, 5)),
+                       _small, max_size=6), _small)
+def test_solve_smooth_matches_the_reference_newton(ctx, n, v, row0, terms,
+                                                   lin):
+    # a chart curve of Y-order one whose w(X, 0) is zero or has order v,
+    # ("n", k) standing for v = n + k; at v >= n the clipped row 0
+    # vanishes and s = 0
+    w = {k: small_elem(ctx, *ab) for k, ab in terms.items()}
+    w[(0, 1)] = small_elem(ctx, *lin)
+    assume(not ctx.is_zero(w[(0, 1)]))
+    if v is not None:
+        v = n + v[1] if isinstance(v, tuple) else v
+        w.update({(v + i, 0): small_elem(ctx, *ab)
+                  for i, ab in enumerate(row0)})
+        assume(not ctx.is_zero(w[(v, 0)]))
+    w = BiPoly(ctx, w)
+    got = _solve_smooth(w, n)
+    assert got == newton_solve(w, n)
+    assert uni_order(ctx, got) == (v if v is not None and v < n else None)
+
+
+def _count(monkeypatch, name):
+    calls = []
+    real = getattr(invariants, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invariants, name, counted)
+    return calls
+
+
+def test_the_branch_series_starts_at_its_first_order(monkeypatch):
+    # the last chart curve of this branch has 21 rows and w(X, 0) of order
+    # 30; with Newton from order one the parametrization took 233 series
+    # products
+    f = parse_poly("60*y^7 + x^2 + 95*x^4*y^8", field_ctx(101))
+    muls = _count(monkeypatch, "_ser_mul")
+    par = parametrize_branch(f, 256)
+    assert len(muls) <= 80
+    assert par.orders() == (7, 2)
+    # w = Y + X Y^2 has w(X, 0) = 0: no Newton round, only the final check
+    passes = _count(monkeypatch, "_horner_s")
+    w = _q("y + x y^2")
+    assert _solve_smooth(w, 64) == [QQ.zero] * 64
+    assert len(passes) == 1
 
 
 def test_parametrize_rejects_reducible():

@@ -3,7 +3,9 @@
 Each corpus is generated once per run from fixed seeds, so failures
 reproduce.  The core corpus holds 40 reduced germs for each of the five
 characteristics; the branch corpus holds curves whose tree has a single
-branch arrow, built from one quasi-homogeneous face plus noise above it.
+branch arrow, built from one quasi-homogeneous face plus noise above it,
+and the high-branch corpus holds such curves with steep faces and noise
+far above them.
 """
 
 import math
@@ -11,14 +13,16 @@ import random
 
 import sympy
 
+from singcurve import invariants
 from singcurve.errors import Char0IrreducibleRemainder
-from singcurve.field import field_ctx
+from singcurve.field import field_ctx, uni_order
 from singcurve.invariants import (INF, area_identity, intersect_param,
-                                  intersect_tree, rho, semigroup_gaps,
-                                  tree_delta, tree_mu_bar, zariski_sequence)
+                                  intersect_tree, parametrize_branch, rho,
+                                  semigroup_gaps, tree_delta, tree_mu_bar,
+                                  zariski_sequence)
 from singcurve.milnor import check_conjecture, local_intersection, \
     milnor_number
-from singcurve.poly import BiPoly, reduced_check
+from singcurve.poly import BiPoly, _to_yrows, reduced_check
 from singcurve.tree import (build_tree, build_tree_multi, minimalize,
                             tree_multiplicity)
 
@@ -65,8 +69,31 @@ def _rand_branch(ctx, rng):
             return f
 
 
+def _rand_high_branch(ctx, rng):
+    """Random single-branch germ y^b + c x^a, a >= 3b, with noise of
+    weight at least ab + 10, so the last chart curve w has w(X, 0) of
+    order at least 10."""
+    while True:
+        b = rng.choice((2, 3, 4))
+        a = rng.randrange(3 * b, 3 * b + 8)
+        c = ctx.rand_elem(rng)
+        if math.gcd(a, b) != 1 or ctx.is_zero(c):
+            continue
+        f = BiPoly(ctx, {(0, b): ctx.one, (a, 0): c})
+        for _ in range(rng.randrange(1, 4)):
+            i, j = rng.randrange(a + 6), rng.randrange(b + 2)
+            if i * b + j * a >= a * b + 10:
+                f.c[(i, j)] = ctx.rand_elem(rng)
+        f = BiPoly(ctx, f.c)
+        if len(f.c) < 3 or not reduced_check(f)[0]:
+            continue
+        if build_tree(f).branch_count() == 1:
+            return f
+
+
 _CORE = {}
 _BRANCHY = {}
+_HIGH = {}
 
 
 def _core(p):
@@ -83,6 +110,14 @@ def _branchy(p):
         rng = random.Random(2000 + p)
         _BRANCHY[p] = [_rand_branch(ctx, rng) for _ in range(8)]
     return _BRANCHY[p]
+
+
+def _high(p):
+    if p not in _HIGH:
+        ctx = field_ctx(p)
+        rng = random.Random(4000 + p)
+        _HIGH[p] = [_rand_high_branch(ctx, rng) for _ in range(8)]
+    return _HIGH[p]
 
 
 def test_corpus_size():
@@ -133,18 +168,37 @@ def test_zariski_axioms_conductor_and_gap_count():
             assert len(semigroup_gaps(s)) == d, f
 
 
+def _engines_agree(fs):
+    for f, g in zip(fs, fs[1:]):
+        it = intersect_tree(f, g)
+        il = local_intersection(f, g).value
+        if it == INF:
+            assert il == INF, (f, g)
+            continue
+        assert il == it, (f, g)
+        assert intersect_param(f, g) == it, (f, g)
+
+
 def test_intersection_engines_agree_on_branch_pairs():
     for p in PRIMES:
-        fs = _branchy(p)
-        for k in range(len(fs) - 1):
-            f, g = fs[k], fs[k + 1]
-            it = intersect_tree(f, g)
-            il = local_intersection(f, g).value
-            if it == INF:
-                assert il == INF, (f, g)
-                continue
-            assert il == it, (f, g)
-            assert intersect_param(f, g) == it, (f, g)
+        _engines_agree(_branchy(p))
+        _engines_agree(_high(p))
+
+
+def test_high_branches_solve_from_order_ten(monkeypatch):
+    # a zero w(X, 0) counts as order n
+    orders = []
+    solve = invariants._solve_smooth
+
+    def recording(w, n):
+        orders.append(uni_order(w.ctx, _to_yrows(w)[0]) or n)
+        return solve(w, n)
+
+    monkeypatch.setattr(invariants, "_solve_smooth", recording)
+    for p in PRIMES:
+        for f in _high(p):
+            parametrize_branch(f, 64)
+    assert len(orders) == 8 * len(PRIMES) and min(orders) >= 10
 
 
 def test_rho_survives_minimalization():
