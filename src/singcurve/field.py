@@ -9,13 +9,12 @@ Univariate polynomials are little-endian coefficient lists with no trailing
 zeros ([] is the zero polynomial), handled by the uni_* functions, which all
 take the context as first argument.
 
-uni_mul, uni_divmod (so uni_quo), uni_rem, uni_gcd, uni_pow_mod and uni_eval
-have two bodies, picked here from the exact type of the context.  Over F_p
-they run on int lists: a product sums unreduced with one % p per output
-coefficient, a division step reduces only the top coefficient it clears,
-uni_rem, Euclid and uni_pow_mod take a remainder kernel that builds no
-quotient, and uni_pow_mod feeds each unreduced product to it with the monic
-modulus; inputs may be non-canonical ints, outputs lie in [0, p).
+uni_mul, uni_divmod (so uni_rem, uni_quo and Euclid), uni_pow_mod and
+uni_eval have two bodies, picked here from the exact type of the context.
+Over F_p they run on int lists: a product sums unreduced with one % p per
+output coefficient, a division step reduces only the top coefficient it
+clears, and uni_pow_mod feeds each unreduced product to that division by the
+monic modulus; inputs may be non-canonical ints, outputs lie in [0, p).
 Every other context, a subclass of PrimeFieldCtx too, runs the element
 bodies on its methods.
 
@@ -634,24 +633,6 @@ def _divmod_ints(p, f, g, inv):
     return q, r
 
 
-def _rem_ints(p, f, g, inv):
-    """The remainder of the int list f by g over F_p, inv the inverse of
-    g's top coefficient: the steps of _divmod_ints without the quotient."""
-    n = len(g) - 1
-    r, low = list(f), g[:n]
-    for i in range(len(f) - 1, n - 1, -1):
-        c = r[i] * inv % p
-        if c:
-            i -= n
-            for b in low:
-                r[i] -= c * b
-                i += 1
-    r = [c % p for c in r[:n]]
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
 def uni_mul(ctx, f, g):
     if not f or not g:
         return []
@@ -690,8 +671,6 @@ def uni_divmod(ctx, f, g):
 
 
 def uni_rem(ctx, f, g):
-    if g and type(ctx) is PrimeFieldCtx:
-        return _rem_ints(ctx.p, f, g, ctx.inv(g[-1]))
     return uni_divmod(ctx, f, g)[1]
 
 
@@ -713,18 +692,9 @@ def _primitive(ctx, f):
 
 
 def uni_gcd(ctx, f, g):
-    """The monic gcd; [] when f and g are both zero.  Euclid over F_q, on
-    the remainder kernel over F_p; over Q the primitive remainder sequence
-    on integer rows (Collins 1967, Brown 1971), each pseudo-remainder
-    divided by its content."""
-    if type(ctx) is PrimeFieldCtx:
-        # ctx.inv checks g, whose top coefficient may be a multiple of p;
-        # every later divisor is a remainder, canonical and trimmed
-        p = ctx.p
-        a, b = (g, uni_rem(ctx, f, g)) if g else (f, g)
-        while b:
-            a, b = b, _rem_ints(p, a, b, pow(b[-1], -1, p))
-        return uni_monic(ctx, a)
+    """The monic gcd; [] when f and g are both zero.  Euclid over F_q; over
+    Q the primitive remainder sequence on integer rows (Collins 1967, Brown
+    1971), each pseudo-remainder divided by its content."""
     if ctx.characteristic:
         a, b = list(f), list(g)
         while b:
@@ -798,7 +768,7 @@ def uni_pow_mod(ctx, f, e, m):
         p, mono = ctx.p, uni_monic(ctx, m)
 
         def mul_mod(a, c):
-            return _rem_ints(p, _mul_ints(a, c), mono, 1)
+            return _divmod_ints(p, _mul_ints(a, c), mono, 1)[1]
     else:
         def mul_mod(a, c):
             return uni_rem(ctx, uni_mul(ctx, a, c), m)

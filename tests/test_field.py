@@ -229,7 +229,7 @@ def _fp_gcd_case(p):
 @example((2, [1, 1], [1, 1], [0, 1]))
 @example((101, [], [3], [5, 0, 7]))
 def test_prime_field_gcd_matches_euclid(case):
-    # f and g share the planted factor h; the remainder kernel on int lists
+    # f and g share the planted factor h; the int-list division over F_p
     # gives the monic gcd of Euclid with a field division at every step
     p, h, f, g = case
     ctx = field_ctx(p)
