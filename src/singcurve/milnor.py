@@ -25,13 +25,15 @@ any round but the first that would start at n >= 4(E + 1); without a
 shared branch every round past the Bezout bound certifies, and one that
 does not is a fault.
 
-A round holds each polynomial as dense y-rows: row j lists the
-x-coefficients of y^j and is at most n - acc - j long, so the cut is each
-row's length.  local_intersection builds the two row sets once per call,
-and each round clips them to its own precision.  A step g_j -= q(x) f_j
-runs over all rows in one context kernel, FieldCtx.sub_mul_rows, the same
-in every field: it packs q, the f_j and the g_j into big ints and does one
-product per row (Kronecker substitution, see the field module).
+A round holds each polynomial as dense rows along one axis.  On y-rows,
+row j lists the x-coefficients of y^j and is at most n - acc - j long, so
+the cut is each row's length; on x-rows x and y trade places, which
+changes neither the value nor the certificate.  local_intersection picks
+the axis and builds the two row sets once per call, and each round clips
+them to its own precision.  A step g_j -= q(x) f_j runs over all rows in
+one context kernel, FieldCtx.sub_mul_rows, the same in every field: it
+packs q, the f_j and the g_j into big ints and does one product per row
+(Kronecker substitution, see the field module).
 """
 
 from .errors import InternalError, NotAUnit, TruncationUnstable
@@ -174,6 +176,22 @@ def local_intersection(g, h):
     positive y-degree (its lc_y divides lc_y g, so it would keep its
     y-degree at a and divide both images), and x, the one factor left
     through the origin, divides at most one; else the exact gcd runs.
+
+    The rounds run on rows along one axis.  Let s_y be the sum of the
+    x-orders of g(x, 0) and h(x, 0), what y-rows divide in row 0, and s_x
+    that of the y-orders of g(0, y) and h(0, y); a zero restriction counts
+    E + 1.  In positive characteristic the rows run along x when s_y < s_x,
+    and along y otherwise, ties included.  Where s_y is the smaller, the
+    steps on y-rows can each gain little with ever longer quotients: the
+    partials of an F_3 germ with s_y = 37 and s_x = 312 take 107 steps on
+    y-rows, with quotients of up to 166 terms, and 6 on x-rows.
+    Swapping x and y in both arguments changes neither the value nor its
+    certificate: i(g, h) is symmetric, and so are the total-degree cut, the
+    Nakayama argument, E and the Bezout bound; the shared-branch test runs
+    on g and h as given.  Over Q the cost is the growth of the coefficients
+    in the quotients, not the layout, so the rows stay along y: the
+    partials of EX1 (1 + x + y + xy) take about four times as long on
+    x-rows.
     """
     if g.ctx != h.ctx:
         raise InternalError("mixed coefficient contexts")
@@ -185,10 +203,14 @@ def local_intersection(g, h):
     est = _newton_estimate(g, h)
     if est == INF:
         return LocalMult(INF)
+    ctx = g.ctx
+    # s_y and s_x, the orders of the restrictions to y = 0 and to x = 0
+    s_y, s_x = (sum(min((k[a] for k in e.c if not k[1 - a]), default=est + 1)
+                    for e in (g, h)) for a in (0, 1))
+    swap = ctx.characteristic > 0 and s_y < s_x
     # BiPoly keeps coefficients as given; the packed kernel needs canonical
     # elements, and ctx.add puts any element in its canonical form
-    ctx = g.ctx
-    gr, hr = ([[ctx.add(ctx.zero, v) for v in r] for r in _to_yrows(e)]
+    gr, hr = ([[ctx.add(ctx.zero, v) for v in r] for r in _to_yrows(e, swap)]
               for e in (g, h))
     bound = max(i + j for i, j in g.c) * max(i + j for i, j in h.c)
     fence = min(4 * (est + 1), bound + 1)

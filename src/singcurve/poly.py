@@ -347,12 +347,16 @@ def poly_str(f):
 # bivariate gcd and the reduced test
 
 
-def _to_yrows(f):
+def _to_yrows(f, swap=False):
     """BiPoly -> list over y-degree of univariate-in-x coefficient lists
-    without trailing zeros: row j holds the x-coefficients of y^j."""
-    ctx = f.ctx
-    rows = [[] for _ in range(f.deg_y() + 1)]
-    for (i, j), v in f.c.items():
+    without trailing zeros: row j holds the x-coefficients of y^j.  With
+    swap, x and y trade places: row i holds the y-coefficients of x^i,
+    so the rows are the y-rows of f(y, x)."""
+    ctx, c = f.ctx, f.c
+    if swap:
+        c = {(j, i): v for (i, j), v in c.items()}
+    rows = [[] for _ in range(1 + max((j for _, j in c), default=-1))]
+    for (i, j), v in c.items():
         row = rows[j]
         if len(row) <= i:
             row.extend([ctx.zero] * (i + 1 - len(row)))

@@ -184,6 +184,29 @@ def test_local_intersection_matches_the_fixed_cut_reference(ctx_shape, fg,
     assert local_intersection(f, g).value == reference_intersection(f, g)
 
 
+def _swapped(f):
+    """f(y, x), read off the swapped rows of f as ordinary y-rows."""
+    return BiPoly(f.ctx, {(i, j): v for j, r in enumerate(_to_yrows(f, True))
+                          for i, v in enumerate(r)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CTX_SHAPES, _germ, _germ, _factor)
+def test_both_row_layouts_match_the_fixed_cut_reference(ctx_shape, fg, gg,
+                                                        ht):
+    # rows forced along y and then along x give the reference value in
+    # every field, Q included, and so does the pair with x and y swapped
+    ctx, shape = ctx_shape
+    f, g = _shaped_pair(ctx, fg, gg, ht, shape)
+    want = reference_intersection(f, g)
+    assert local_intersection(_swapped(f), _swapped(g)).value == want
+    for swap in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(milnor, "_to_yrows",
+                       lambda h, _, swap=swap: _to_yrows(h, swap))
+            assert local_intersection(f, g).value == want, swap
+
+
 @pytest.mark.parametrize("f, g", [
     ("y - x^2", "(y - x^2)(1 + x^40)"),  # g a multiple of f once cut
     ("x (y^2 - x^3)", "x (y + x^40)"),  # the axis x divides both
@@ -243,9 +266,9 @@ def test_local_intersection_builds_the_rows_once(monkeypatch):
     f = parse_poly(EX1, ctx) * parse_poly("1 + x + y + x y", ctx)
     calls = []
 
-    def counted(h):
+    def counted(h, swap):
         calls.append(h)
-        return _to_yrows(h)
+        return _to_yrows(h, swap)
 
     monkeypatch.setattr(milnor, "_to_yrows", counted)
     assert local_intersection(*partials(f)).value == 157
@@ -392,6 +415,50 @@ def test_a_round_that_never_certifies_is_a_fault_past_the_bezout_bound(
     with pytest.raises(InternalError):
         local_intersection(f, g)
     assert ns == want and len(tests) == len(gcds) == 1
+
+
+# s_y = 37 and s_x = 312 for the partials over F_3: on y-rows the quotients
+# grow to 166 terms and the two row sets to about 3,000 entries
+DEEP_IN_X = "x y^19 + x^4 y^13 + x^6 y^3 + x^18 y^2 + x^19 + x^19 y"
+
+
+def test_rows_along_x_when_the_y_restrictions_are_shallower(monkeypatch):
+    # 107 steps on y-rows, 6 on x-rows
+    steps, step = [], milnor._sub_mul_clip
+
+    def counted(*args):
+        steps.append(args[-1])
+        return step(*args)
+
+    monkeypatch.setattr(milnor, "_sub_mul_clip", counted)
+    assert milnor_number(_f(DEEP_IN_X, 3)) == 360
+    assert len(steps) <= 10
+
+
+@pytest.mark.parametrize("text, unit, p, swap", [
+    (DEEP_IN_X, None, 3, True),
+    (DEEP_IN_X, None, 0, False),  # over Q the rows stay along y
+    (EX1, "1 + x + y + x y", 0, False),
+    ("x^3 + y^3 + x^2 y + x y^2", None, 5, False),  # a tie, s_y = s_x = 4
+    # f_x = 5x^4 and f_y = 5y^4: a zero restriction on each side, a tie
+    ("x^5 + y^5", None, 7, False),
+    # f_x = 5x^4 + 2xy vanishes on x = 0 and counts E + 1 = 5 there:
+    # s_y = 4 + 2 < s_x = 5 + 2
+    ("y^3 + x^2 y + x^5", None, 7, True),
+], ids=["GF(3)", "Q", "EX1*unit over Q", "tie", "zero restrictions",
+        "one zero restriction"])
+def test_the_axis_of_the_rows(monkeypatch, text, unit, p, swap):
+    # the choice alone: every round answers 0 at once
+    swaps = []
+
+    def recorded(h, axis):
+        swaps.append(axis)
+        return _to_yrows(h, axis)
+
+    monkeypatch.setattr(milnor, "_to_yrows", recorded)
+    monkeypatch.setattr(milnor, "_reduce_pair", lambda *args: 0)
+    assert milnor_number(_f(text, p), unit and _f(unit, p)) == 0
+    assert swaps == [swap, swap]
 
 
 def _timed_mu(text, p):

@@ -328,6 +328,19 @@ def test_row_cut_and_strip_match_the_bipoly(ctx, terms, n):
     assert (got[2] is rows) == (a == b == 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ROW_CTXS), _row_terms)
+def test_swapped_rows_hold_the_y_coefficients_of_each_x_power(ctx, terms):
+    # with swap, entry j of row i is the coefficient of x^i y^j, and the
+    # rows are trimmed as y-rows are
+    f = _from_terms(ctx, terms)
+    rows = poly._to_yrows(f, True)
+    assert {(i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)
+            if not ctx.is_zero(v)} == f.c
+    assert not rows or rows[-1]
+    assert all(not ctx.is_zero(r[-1]) for r in rows if r)
+
+
 _reduced_terms = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
     st.tuples(st.integers(-4, 4), st.integers(0, 3)), max_size=3)
