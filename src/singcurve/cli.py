@@ -280,7 +280,8 @@ def _build_parser():
     command("multiplicity", "tree multiplicity M and |M|")
     command("delta", "delta invariant")
     command("mubar", "1 - M, the expected Milnor number")
-    m = command("mu", "Milnor number from the partials")
+    m = command("mu", "Milnor number: 1 - M off the tree where a theorem "
+                      "makes it exact, else from the partials")
     m.add_argument("--unit", dest="unit_text", metavar="POLY",
                    help="multiply by this unit before taking partials")
     m.add_argument("--trunc", type=int, metavar="D",

@@ -1073,12 +1073,14 @@ def embedding(src, dst):
     return lambda a: uni_eval(dst, [dst.from_int(c) for c in a], r)
 
 
-def adjoin_splitting(f, ctx):
+def adjoin_splitting(f, ctx, extend=True):
     """Smallest extension where f splits.
 
     Returns (new_ctx, embed, roots) with roots a list of (root, multiplicity)
     in the new context.  Over Q only rational roots are supported; a nonlinear
-    irreducible remainder raises Char0IrreducibleRemainder.
+    irreducible remainder raises Char0IrreducibleRemainder.  With extend
+    False a finite field is held to the same rule: a factor of degree > 1
+    raises InputError before any extension is built.
     """
     if ctx.characteristic == 0:
         roots, rem = uni_rational_roots(ctx, f)
@@ -1094,6 +1096,9 @@ def adjoin_splitting(f, ctx):
     if k2 == ctx.ext_degree:
         roots = sorted((ctx.neg(g[0]), m) for g, m in fac)
         return ctx, (lambda a: a), roots
+    if not extend:
+        raise InputError(f"face roots need GF({ctx.characteristic}^{k2}), "
+                         f"and the field may not be extended past {ctx!r}")
     ctx2 = ExtFieldCtx(ctx.characteristic, k2, seed=ctx.seed)
     emb = embedding(ctx, ctx2)
     f2 = [emb(c) for c in f]

@@ -1,5 +1,6 @@
-"""Milnor numbers through local intersection of the partials, and the
-equality checker mu = 1 - M.
+"""Milnor numbers, as 1 - M off the tree where a theorem makes that exact
+(milnor_number) and otherwise through local intersection of the partials,
+and the equality checker mu = 1 - M, which always runs the reduction.
 
 The local intersection routine is a characteristic-free reduction: strip
 monomial factors (each x costs the y-order of the partner and vice versa),
@@ -36,11 +37,11 @@ packs q, the f_j and the g_j into big ints and does one product per row
 (Kronecker substitution, see the field module).
 """
 
-from .errors import InternalError, NotAUnit, TruncationUnstable
+from .errors import InputError, InternalError, NotAUnit, TruncationUnstable
 from .field import uni_divmod, uni_order
 from .invariants import INF
 from .newton import newton_polygon
-from .poly import (_clip_rows, _rows_strip, _rows_trim,
+from .poly import (_clip_rows, _one_image_reduced, _rows_strip, _rows_trim,
                    _shares_origin_branch, _to_yrows, clip_total, partials,
                    reduce_mod, reduced_check, vanishes_at_origin)
 from .tree import build_tree, minimalize, tree_multiplicity, vertex_report
@@ -229,27 +230,80 @@ def local_intersection(g, h):
     return LocalMult(v)
 
 
+def _above_shortcut(p, m, order):
+    """The shortcut bound p > -M + ord f: above it, in characteristic p,
+    a reduced germ has mu = 1 - M."""
+    return p > -m + order
+
+
+def _mu_from_tree(f):
+    """1 - M off the tree of f over its own field when a theorem makes it
+    mu, else None; milnor_number has the proof."""
+    if f.is_zero() or not vanishes_at_origin(f):
+        return None
+    p = f.ctx.characteristic
+    d = max(i + j for i, j in f.c)
+    if (p and p <= d * (d - 1) + f.ord() - 1) or not _one_image_reduced(f):
+        return None
+    try:
+        m = tree_multiplicity(build_tree(f, check=False, extend=False)).M
+    except InputError:
+        return None
+    if p and not _above_shortcut(p, m, f.ord()):
+        raise InternalError(
+            f"the degree test admitted p = {p} at degree {d}, but -M + ord f"
+            f" = {-m + f.ord()}: the genus bound 1 - M <= d(d - 1) broke")
+    return 1 - m
+
+
 def milnor_number(f, unit=None, trunc=None):
     """dim of the Jacobian quotient, as i(f_x, f_y); math.inf when the
     partials share a factor through the origin.
 
     With a unit u the number is that of u*f, formed exactly.  With trunc D
-    as well, the reduction runs on the jet j of u*f below total degree D,
-    and its value m is returned when the cut dropped nothing, or when m is
-    finite and D - 1 >= 2m - ord j + 2: a germ with finite mu is
+    as well, the germ is the jet j of u*f below total degree D, and its
+    value m is returned when the cut dropped nothing, or when m is finite
+    and D - 1 >= 2m - ord j + 2: a germ with finite mu is
     (2 mu - ord + 2)-determined for right equivalence in every
     characteristic (Boubakri, Greuel, Markwig 2012), so u*f, which agrees
     with j below degree D, is right equivalent to j and has mu = m.  Any
     other cut raises TruncationUnstable.
+
+    Two theorems give mu = 1 - M of a reduced germ off its tree, where
+    1 - M = 2 delta - r + 1 (tree_delta):
+      - Milnor's formula mu = 2 delta - r + 1 in characteristic 0;
+      - the shortcut bound: mu = 1 - M in characteristic p > -M + ord f.
+    M is known only once the tree is built, so in characteristic p the
+    tree is tried only when p > d(d - 1) + ord f - 1, d the total degree
+    of f, which implies the bound.  Proof: the germ's delta is that of the
+    reduced projective curve of f, of degree d' <= d with s <= d'
+    components, and the sum of the deltas of its points is at most
+    p_a + s - 1 = (d' - 1)(d' - 2)/2 + s - 1 <= d(d - 1)/2 (the genus
+    formula; a factor repeated away from the origin leaves the germ as it
+    is).  So 1 - M = 2 delta - r + 1 <= d(d - 1), r >= 1.  The built tree
+    is checked against p > -M + ord f anyway, and a miss is an
+    InternalError.
+
+    The order of the paths: a germ through the origin that passes the
+    degree test (any germ over Q) and the one-image reducedness
+    certificate (neither x^2 nor y^2 divides it, one image f(a, y) is
+    squarefree) builds its tree over its own field.  Every other germ, and
+    one whose tree would raise (face roots outside the field: irrational
+    over Q, past RATIONAL_ROOT_LIMIT, or in an extension of F_q, whose
+    construction can cost far more than the reduction), takes the
+    reduction i(f_x, f_y).  A unit leaves the germ, its tree and its
+    degree test to f; a cut jet is the germ the rule above decides on.
     """
-    if unit is None:
-        return local_intersection(*partials(f)).value
-    if vanishes_at_origin(unit):
-        raise NotAUnit("unit factor must not vanish at the origin")
-    g, cut = unit * f, False
-    if trunc is not None:
-        g, cut = clip_total(g, trunc)
-    m = local_intersection(*partials(g)).value
+    g, cut = f, False
+    if unit is not None:
+        if vanishes_at_origin(unit):
+            raise NotAUnit("unit factor must not vanish at the origin")
+        g = unit * f
+        if trunc is not None:
+            g, cut = clip_total(g, trunc)
+    m = _mu_from_tree(g if cut else f)
+    if m is None:
+        m = local_intersection(*partials(g)).value
     if cut and (m == INF or trunc - 1 < 2 * m - g.ord() + 2):
         raise TruncationUnstable(
             f"the jet below degree D = {trunc} has mu = {m}; a cut jet is "
@@ -316,12 +370,12 @@ def check_conjecture(f, primes, verify_shortcut=False):
         rep.n_values = vertex_report(minimalize(t))
         rep.divides = any(v % p == 0 for v in rep.n_values)
         rep.mu_bar = 1 - m
-        if p > -m + fp.ord() and not verify_shortcut:
-            rep.shortcut = True
+        rep.shortcut = _above_shortcut(p, m, fp.ord())
+        if rep.shortcut and not verify_shortcut:
             rep.mu = rep.mu_bar
         else:
-            rep.shortcut = p > -m + fp.ord()
-            rep.mu = milnor_number(fp)
+            # the reduction itself, never the tree: this is the check
+            rep.mu = local_intersection(*partials(fp)).value
             if rep.shortcut and rep.mu != rep.mu_bar:
                 raise InternalError(
                     f"shortcut bound violated at p={p}: mu={rep.mu}")

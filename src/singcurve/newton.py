@@ -122,18 +122,19 @@ def face_line(f, p, q):
     return best, T
 
 
-def face_factorization(T, face, ctx):
+def face_factorization(T, face, ctx, extend=True):
     """Split the face polynomial T (as read by face_line, over ctx) of the
     given face: (ctx2, embed, roots), with the roots and their
     multiplicities in ctx2 and embed mapping ctx into it.
 
-    Over finite fields the context is extended as needed; over Q a nonlinear
-    irreducible remainder raises Char0IrreducibleRemainder.
+    Over finite fields the context is extended as needed, unless extend is
+    False (see adjoin_splitting); over Q a nonlinear irreducible remainder
+    raises Char0IrreducibleRemainder.
     """
     i1, j2 = face.top[0], face.bot[1]
     if len(T) != face.K + 1:
         raise InternalError("face polynomial does not span the face")
-    ctx2, embed, roots = adjoin_splitting(T, ctx)
+    ctx2, embed, roots = adjoin_splitting(T, ctx, extend)
     for mu, _ in roots:
         if ctx2.is_zero(mu):
             raise ZeroRoot("face polynomial root at zero")

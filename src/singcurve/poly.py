@@ -558,6 +558,14 @@ def _x_order(f):
     return min(i for i, _ in f.c)
 
 
+def _one_image_reduced(f):
+    """Whether neither x^2 nor y^2 divides f and one image f(a, y) is
+    squarefree, which proves f reduced at the origin (see reduced_check).
+    A p-th power never passes: its images lie in K[y^p]."""
+    return (_x_order(f) < 2 and min(j for _, j in f.c) < 2
+            and _coprime_image(f))
+
+
 def _shares_origin_branch(f, g):
     """Whether f and g share a branch through the origin: whether
     gcd_bipoly(f, g) vanishes there.
@@ -608,9 +616,7 @@ def reduced_check(f):
         raise ZeroPolynomial("reduced_check of the zero polynomial")
     if not vanishes_at_origin(f):
         return True, None
-    # a p-th power never passes: its images lie in K[y^p]
-    if (_x_order(f) < 2 and min(j for _, j in f.c) < 2
-            and _coprime_image(f)):
+    if _one_image_reduced(f):
         return True, None
     fx, fy = partials(f)
     if fx.is_zero() and fy.is_zero():

@@ -259,13 +259,15 @@ class _Builder:
 
     embed maps every field met so far to one embedding into the current
     field self.ctx; each extension composes it with the new embedding, so
-    every value is lifted by the same root choices.
+    every value is lifted by the same root choices.  With may_extend
+    False the field stays ctx, and a face root outside it raises.
     """
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, may_extend=True):
         self.tree = NewtonTree()
         self.ctx = ctx
         self.embed = {}
+        self.may_extend = may_extend
 
     def extend(self, ctx2, e):
         if ctx2 == self.ctx:
@@ -355,7 +357,8 @@ class _Builder:
         T = lines[0]
         for U in lines[1:]:
             T = uni_mul(ctx, T, U)
-        ctx2, embed, roots = face_factorization(T, face, ctx)
+        ctx2, embed, roots = face_factorization(T, face, ctx,
+                                                self.may_extend)
         self.extend(ctx2, embed)
         for mu, nu in roots:
             if ctx != self.ctx:
@@ -394,8 +397,12 @@ class _Builder:
             self.chain(subs, (vid, face.p * q_bar, n_bar, sub), depth + 1)
 
 
-def build_tree_multi(factors, check=True):
-    """Tree of the product of the given factors, arrows tagged by factor."""
+def build_tree_multi(factors, check=True, extend=True):
+    """Tree of the product of the given factors, arrows tagged by factor.
+
+    With extend False the tree is built over the factors' own field, and a
+    face root outside it raises InputError, as one outside Q always does.
+    """
     if not factors:
         raise ZeroPolynomial("no factors given")
     for h in factors:
@@ -414,16 +421,16 @@ def build_tree_multi(factors, check=True):
         ok, wit = reduced_check(g)
         if not ok:
             raise NotReduced(f"repeated factor through the origin: {wit!r}")
-    b = _Builder(ctx)
+    b = _Builder(ctx, extend)
     b.chain(list(enumerate(factors)), None, 0)
     b.tree.ctx = b.ctx
     b.tree.check_connected()
     return b.tree
 
 
-def build_tree(f, check=True):
+def build_tree(f, check=True, extend=True):
     """Decorated Newton tree of a reduced polynomial vanishing at 0."""
-    return build_tree_multi([f], check=check)
+    return build_tree_multi([f], check=check, extend=extend)
 
 
 def minimalize(t):

@@ -159,6 +159,42 @@ def test_huge_rational_coefficient_fails_fast():
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("f", [
+    "x^2 - 999999999989 y^2",  # a prime constant: irrational face roots
+    "x^2 - 1000000000000000000000000000000 y^2",  # past RATIONAL_ROOT_LIMIT
+], ids=["irrational", "past the limit"])
+def test_mu_over_q_leaves_a_failed_tree_fast(f):
+    # the tree is tried first over Q; when it raises, the reduction answers
+    start = time.process_time()
+    assert _ok("mu", f_text=f) == "1"
+    assert time.process_time() - start < 2
+
+
+def test_mu_of_ex1_times_a_unit_over_q_is_fast():
+    # Milnor's formula off the tree of EX1; the reduction of the partials
+    # of the product took about 2 s
+    start = time.process_time()
+    assert _ok("mu", f_text=EX1, unit_text="1 + x + y + x y") == "156"
+    assert time.process_time() - start < 1
+
+
+# three tangents irreducible over F_32003, of degrees 3, 4 and 5: the face
+# roots lie in F_{32003^60}, which takes minutes to build
+TANGENTS_345 = (
+    "(30974 x^3 + 3349 x^2 y + 29537 x y^2 + y^3)"
+    "(10401 x^4 + 1002 x^3 y + 731 x^2 y^2 + 833 x y^3 + y^4)"
+    "(12491 x^5 + 22494 x^4 y + 7097 x^3 y^2 + 31753 x^2 y^3 + 13831 x y^4"
+    " + y^5) + x^13 + y^13")
+
+
+def test_mu_never_extends_the_field_for_the_tree():
+    # the degree test admits p = 32003 at d = 13, but the tree would need
+    # an extension of degree 60, so the reduction answers
+    start = time.process_time()
+    assert _ok("mu", p=32003, f_text=TANGENTS_345) == "121"
+    assert time.process_time() - start < 1
+
+
 def test_a_power_above_the_degree_limit_fails_fast():
     # DEGREE_LIMIT is checked before the parser expands a power; with
     # y^10000001 every command ran past 20 s, one y-row per degree

@@ -448,7 +448,9 @@ def test_rows_along_x_when_the_y_restrictions_are_shallower(monkeypatch):
 ], ids=["GF(3)", "Q", "EX1*unit over Q", "tie", "zero restrictions",
         "one zero restriction"])
 def test_the_axis_of_the_rows(monkeypatch, text, unit, p, swap):
-    # the choice alone: every round answers 0 at once
+    # the choice alone: every round answers 0 at once; the partials go to
+    # the reduction itself, since milnor_number answers the Q rows from
+    # the tree
     swaps = []
 
     def recorded(h, axis):
@@ -457,7 +459,10 @@ def test_the_axis_of_the_rows(monkeypatch, text, unit, p, swap):
 
     monkeypatch.setattr(milnor, "_to_yrows", recorded)
     monkeypatch.setattr(milnor, "_reduce_pair", lambda *args: 0)
-    assert milnor_number(_f(text, p), unit and _f(unit, p)) == 0
+    f = _f(text, p)
+    if unit:
+        f = f * _f(unit, p)
+    assert local_intersection(*partials(f)).value == 0
     assert swaps == [swap, swap]
 
 
@@ -594,6 +599,97 @@ def test_milnor_number_with_a_unit_builds_no_tree(monkeypatch):
             == want
 
 
+# germs of degree at most 8: F_101 and F_32003 clear the degree test
+# p > d(d - 1) + ord f - 1 on each of them
+TREE_CTXS = (field_ctx(101), field_ctx(32003), QQ)
+_tree_germ = st.tuples(st.integers(1, 6), st.integers(1, 6), st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any), _coeff,
+    max_size=3))
+_tree_unit = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any), _coeff,
+    max_size=3)
+
+
+def _reduction_mu(g, trunc):
+    # milnor_number on the reduction alone, the determinacy rule included
+    jet, cut = clip_total(g, trunc) if trunc else (g, False)
+    m = local_intersection(*partials(jet)).value
+    if cut and (m == INF or trunc - 1 < 2 * m - jet.ord() + 2):
+        return TruncationUnstable
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TREE_CTXS), _tree_germ, _tree_unit,
+       st.sampled_from((None, "unit", "trunc")), st.integers(-2, 2))
+def test_mu_off_the_tree_equals_the_reduction(ctx, germ, ut, mode, shift):
+    # 1 - M where Milnor's formula or the shortcut bound certifies it, the
+    # reduction everywhere else: the reduction must agree on every draw
+    f, u = _from_germ(ctx, germ), None
+    if mode is not None:
+        u = _from_terms(ctx, ut) + BiPoly.const(ctx, ctx.one)
+    g = f if u is None else u * f
+    trunc = None
+    if mode == "trunc":
+        # jets near the determinacy bound: some certify, some are rejected
+        mu = local_intersection(*partials(g)).value
+        assume(mu != INF)
+        trunc = max(1, 2 * mu - g.ord() + 3 + shift)
+    want = _reduction_mu(g, trunc)
+    if want is TruncationUnstable:
+        with pytest.raises(TruncationUnstable):
+            milnor_number(f, unit=u, trunc=trunc)
+    else:
+        assert milnor_number(f, unit=u, trunc=trunc) == want
+
+
+@pytest.mark.parametrize("text, p, unit, mu", [
+    (EX1, 0, None, 156),
+    (EX1, 0, "1 + x + y + x y", 156),
+    (EX2, 32003, None, 102),
+    (EX2, 32003, "1 + x", 102),
+], ids=["Q", "Q unit", "GF(32003)", "GF(32003) unit"])
+def test_mu_off_the_tree_runs_no_reduction(monkeypatch, text, p, unit, mu):
+    def boom(*args):
+        raise AssertionError("milnor_number ran the reduction")
+
+    monkeypatch.setattr(milnor, "local_intersection", boom)
+    assert milnor_number(_f(text, p), unit and _f(unit, p)) == mu
+
+
+def test_a_tree_past_the_degree_bound_is_a_fault(monkeypatch):
+    # the degree test proves p > -M + ord f; a tree that breaks it is a bug
+    class Broken:
+        M = -40000
+
+    monkeypatch.setattr(milnor, "tree_multiplicity", lambda t: Broken)
+    with pytest.raises(InternalError, match="degree test"):
+        milnor_number(_f(EX2, 32003))
+
+
+@pytest.mark.parametrize("text, p, mu", [
+    # x^2 divides f: no tree, the reduction answers
+    ("x^2 (y^2 - x^3)", 0, INF),
+    ("x^2 (y^2 - x^3)", 32003, INF),
+    # a reduced cusp, but p = 7 is not above the degree test's 3 * 2 + 1
+    ("y^2 - x^3", 7, 2),
+    # a reduced cusp whose image f(1, y) = (y - 1)^2 is not squarefree
+    ("(y - x)^2 + x^3 - x^4", 0, 2),
+], ids=["Q x^2", "GF(32003) x^2", "below the degree test",
+        "no certificate"])
+def test_mu_off_the_reduction_where_no_theorem_holds(monkeypatch, text, p,
+                                                    mu):
+    calls, reduce = [], milnor.local_intersection
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(milnor, "local_intersection", counted)
+    assert milnor_number(_f(text, p)) == mu
+    assert len(calls) == 1
+
+
 def test_intersect_param_does_not_ask_the_tree_engine(monkeypatch):
     pairs = [(_q("x^2 - y^3"), _q("x^3 - y^2")),
              (_f(EX1, 7), _f("x", 7)),
@@ -706,10 +802,22 @@ def test_check_conjecture_ex2():
     assert by_p[113].mu == 102
 
 
-def test_check_conjecture_shortcut_verified():
-    reps = check_conjecture(_q(EX2), [113], verify_shortcut=True)
-    assert reps[0].shortcut is True
-    assert reps[0].mu == 102 and reps[0].equal is True
+def test_check_conjecture_shortcut_verified(monkeypatch):
+    # the check runs the reduction itself, not milnor_number's tree path
+    calls, reduce = [], milnor.local_intersection
+
+    def counted(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(milnor, "local_intersection", counted)
+    # milnor_number would answer 32003 off the tree, as it clears the
+    # degree test 14 * 13 + 6 - 1 for EX2
+    reps = check_conjecture(_q(EX2), [113, 32003], verify_shortcut=True)
+    for r in reps:
+        assert r.shortcut is True
+        assert r.mu == 102 and r.equal is True
+    assert len(calls) == 2
 
 
 def test_check_conjecture_four_lines():

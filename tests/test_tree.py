@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from singcurve.errors import NotReduced, UnitInput, ZeroPolynomial
+from singcurve.errors import (InputError, NotReduced, UnitInput,
+                              ZeroPolynomial)
 from singcurve.field import field_ctx
 from singcurve.hn import HNMap, hn_map
 from singcurve.invariants import intersect_tree
@@ -265,6 +266,15 @@ def test_extension_in_a_deeper_chain_lifts_what_follows(text, M, delta, r):
         assert (m, (t.branch_count() - m) // 2, t.branch_count()) == \
             (M, delta, r), (text, ctx)
         assert not multiplicity_sum_check(t)
+
+
+@pytest.mark.parametrize("text,M,delta,r", SPLIT_AFTER_DEEPER_ROOT)
+def test_a_tree_held_to_its_field_raises_where_it_would_extend(text, M,
+                                                               delta, r):
+    with pytest.raises(InputError, match=r"GF\(3\^2\)"):
+        build_tree(parse_poly(text, field_ctx(3)), extend=False)
+    t = build_tree(parse_poly(text, field_ctx(3, 2)), extend=False)
+    assert tree_multiplicity(t).M == M
 
 
 def test_input_errors():
