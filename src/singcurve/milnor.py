@@ -241,18 +241,18 @@ def _mu_from_tree(f):
     mu, else None; milnor_number has the proof."""
     if f.is_zero() or not vanishes_at_origin(f):
         return None
-    p = f.ctx.characteristic
+    p, o = f.ctx.characteristic, f.ord()
     d = max(i + j for i, j in f.c)
-    if (p and p <= d * (d - 1) + f.ord() - 1) or not _one_image_reduced(f):
+    if (p and p <= d * (d - 1) + o - 1) or not _one_image_reduced(f):
         return None
     try:
         m = tree_multiplicity(build_tree(f, check=False, extend=False)).M
     except InputError:
         return None
-    if p and not _above_shortcut(p, m, f.ord()):
+    if p and not _above_shortcut(p, m, o):
         raise InternalError(
             f"the degree test admitted p = {p} at degree {d}, but -M + ord f"
-            f" = {-m + f.ord()}: the genus bound 1 - M <= d(d - 1) broke")
+            f" = {o - m}: the genus bound 1 - M <= d(d - 1) broke")
     return 1 - m
 
 

@@ -671,7 +671,7 @@ def test_a_tree_past_the_degree_bound_is_a_fault(monkeypatch):
     # x^2 divides f: no tree, the reduction answers
     ("x^2 (y^2 - x^3)", 0, INF),
     ("x^2 (y^2 - x^3)", 32003, INF),
-    # a reduced cusp, but p = 7 is not above the degree test's 3 * 2 + 1
+    # a reduced cusp, but p = 7 is not above the degree test's 3 * 2 + 2 - 1
     ("y^2 - x^3", 7, 2),
     # a reduced cusp whose image f(1, y) = (y - 1)^2 is not squarefree
     ("(y - x)^2 + x^3 - x^4", 0, 2),
@@ -679,13 +679,7 @@ def test_a_tree_past_the_degree_bound_is_a_fault(monkeypatch):
         "no certificate"])
 def test_mu_off_the_reduction_where_no_theorem_holds(monkeypatch, text, p,
                                                     mu):
-    calls, reduce = [], milnor.local_intersection
-
-    def counted(*args):
-        calls.append(args)
-        return reduce(*args)
-
-    monkeypatch.setattr(milnor, "local_intersection", counted)
+    calls = _calls(monkeypatch, milnor, "local_intersection")
     assert milnor_number(_f(text, p)) == mu
     assert len(calls) == 1
 
@@ -804,13 +798,7 @@ def test_check_conjecture_ex2():
 
 def test_check_conjecture_shortcut_verified(monkeypatch):
     # the check runs the reduction itself, not milnor_number's tree path
-    calls, reduce = [], milnor.local_intersection
-
-    def counted(*args):
-        calls.append(args)
-        return reduce(*args)
-
-    monkeypatch.setattr(milnor, "local_intersection", counted)
+    calls = _calls(monkeypatch, milnor, "local_intersection")
     # milnor_number would answer 32003 off the tree, as it clears the
     # degree test 14 * 13 + 6 - 1 for EX2
     reps = check_conjecture(_q(EX2), [113, 32003], verify_shortcut=True)
