@@ -16,7 +16,9 @@ output coefficient, a division step reduces only the top coefficient it
 clears, and uni_pow_mod feeds each unreduced product to that division by the
 monic modulus; inputs may be non-canonical ints, outputs lie in [0, p).
 Every other context, a subclass of PrimeFieldCtx too, runs the element
-bodies on its methods.
+bodies on its methods.  Every power but one of F_p, which is the builtin
+pow, goes through power, the one square-and-multiply loop: FieldCtx.pow,
+uni_pow_mod, BiPoly.__pow__ and the series power each pass it a product.
 
 uni_factor splits by polynomial powers (Cantor-Zassenhaus) except where a
 quadratic is left: over odd q, x^2 + bx + c is irreducible iff
@@ -115,6 +117,20 @@ def _prime_divisors(n):
     return out
 
 
+def power(mul, a, e, one):
+    """a^e for an int e >= 0, by squaring from the top bit of e down
+    (Knuth, TAOCP vol. 2, 4.6.3); one is a^0.  For e > 0 the result comes
+    out of mul, one times a first, in bits(e) + popcount(e) - 1 products."""
+    if not e:
+        return one
+    r = mul(one, a)
+    for bit in f"{e:b}"[1:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, a)
+    return r
+
+
 def _pack_slots(ints, w):
     """The bytes of ints, each of absolute value below 2^(8w - 1), in
     consecutive little-endian w-byte two's-complement slots."""
@@ -175,13 +191,7 @@ class FieldCtx:
     def pow(self, a, n):
         if n < 0:
             a, n = self.inv(a), -n
-        r, b = self.one, a
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return r
+        return power(self.mul, a, n, self.one)
 
     def is_zero(self, a):
         return a == self.zero
@@ -437,11 +447,12 @@ class ExtFieldCtx(FieldCtx):
         self.base = PrimeFieldCtx(p, seed)
         if modulus is None:
             modulus = _find_modulus(p, k, seed)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise InputError("modulus must be monic of degree k")
-        if not _uni_is_irreducible(self.base, list(modulus)):
-            raise InputError("modulus is not irreducible")
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise InputError("modulus must be monic of degree k")
+            if not _uni_is_irreducible(self.base, list(modulus)):
+                raise InputError("modulus is not irreducible")
         self.modulus = modulus
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
@@ -762,7 +773,7 @@ def uni_deriv(ctx, f):
 
 
 def uni_pow_mod(ctx, f, e, m):
-    """f^e mod m, by squaring from the top bit of e down."""
+    """f^e mod m, through power on a product taken mod m."""
     if type(ctx) is PrimeFieldCtx:
         # a product goes unreduced into a division that needs no inverse
         p, mono = ctx.p, uni_monic(ctx, m)
@@ -772,13 +783,8 @@ def uni_pow_mod(ctx, f, e, m):
     else:
         def mul_mod(a, c):
             return uni_rem(ctx, uni_mul(ctx, a, c), m)
-    r = uni_rem(ctx, [ctx.one], m)
-    b = uni_rem(ctx, f, m)
-    for bit in f"{e:b}":
-        r = mul_mod(r, r)
-        if bit == "1":
-            r = mul_mod(r, b)
-    return r
+    one, b = uni_rem(ctx, [ctx.one], m), uni_rem(ctx, f, m)
+    return power(mul_mod, b, e, one)
 
 
 # ---------------------------------------------------------------------------

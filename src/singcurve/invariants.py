@@ -12,7 +12,7 @@ import math
 from .errors import (DisconnectedNodes, InputError, InternalError,
                      NotIrreducible, NotIrreducibleBranchShape,
                      OrderMismatch, ParityViolation, PrecisionExhausted)
-from .field import uni_order
+from .field import power, uni_order
 from .hn import hn_map
 from .poly import (_clip_rows, _shares_origin_branch, _to_yrows,
                    clip_total, vanishes_at_origin)
@@ -256,16 +256,9 @@ def _ser_addto(ctx, acc, b):
 
 
 def _ser_pow(ctx, a, e, n):
-    out = [ctx.zero] * n
-    out[0] = ctx.one
-    base = a
-    while e:
-        if e & 1:
-            out = _ser_mul(ctx, out, base, n)
-        e >>= 1
-        if e:
-            base = _ser_mul(ctx, base, base, n)
-    return out
+    one = _ser_zero(ctx, n)
+    one[0] = ctx.one
+    return power(lambda u, v: _ser_mul(ctx, u, v, n), a, e, one)
 
 
 def _ser_div(ctx, a, b, n):

@@ -42,14 +42,6 @@ class NewtonPolygon:
         self.vertices = vertices
         self.faces = faces
 
-    def to_json_dict(self):
-        return {
-            "i0": self.i0,
-            "j0": self.j0,
-            "vertices": [list(v) for v in self.vertices],
-            "faces": [{"p": f.p, "q": f.q, "N": f.N} for f in self.faces],
-        }
-
     def __repr__(self):
         return f"NewtonPolygon(vertices={self.vertices})"
 

@@ -9,11 +9,12 @@ parser accepts back, except for non-integer rationals.
 
 import functools
 import itertools
+import operator
 
 from .errors import ParseError, ZeroPolynomial
-from .field import (ExtFieldCtx, PrimeFieldCtx, embedding, uni_add, uni_deg,
-                    uni_deriv, uni_eval, uni_gcd, uni_mul, uni_order, uni_quo,
-                    uni_scale, uni_sub, uni_trim)
+from .field import (ExtFieldCtx, PrimeFieldCtx, embedding, power, uni_add,
+                    uni_deg, uni_deriv, uni_eval, uni_gcd, uni_mul, uni_order,
+                    uni_quo, uni_scale, uni_sub, uni_trim)
 
 
 class BiPoly:
@@ -43,7 +44,10 @@ class BiPoly:
         return not self.c
 
     def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.ctx == other.ctx and self.c == other.c
+        """Equality of polynomials: the coefficients are kept as given, so
+        the difference is compared with zero through the context."""
+        return (isinstance(other, BiPoly) and self.ctx == other.ctx
+                and (self - other).is_zero())
 
     def __add__(self, other):
         ctx = self.ctx
@@ -94,15 +98,8 @@ class BiPoly:
         if len(self.c) == 1:
             ((i, j), v), = self.c.items()
             return BiPoly(self.ctx, {(i * n, j * n): self.ctx.pow(v, n)})
-        r = BiPoly.const(self.ctx, self.ctx.one)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            n >>= 1
-            if n:
-                b = b * b
-        return r
+        one = BiPoly.const(self.ctx, self.ctx.one)
+        return power(operator.mul, self, n, one)
 
     def scale(self, v):
         ctx = self.ctx

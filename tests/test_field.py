@@ -325,6 +325,32 @@ def test_bad_ctx_args():
         ExtFieldCtx(2, 2, modulus=(0, 0, 1))  # t^2, reducible
 
 
+def test_a_generated_modulus_is_tested_once(monkeypatch):
+    # _find_modulus proves its modulus irreducible, so the constructor
+    # runs Rabin's test only on a modulus it is given
+    calls = []
+    real = field._uni_is_irreducible
+
+    def counted(ctx, f):
+        calls.append(tuple(f))
+        return real(ctx, f)
+
+    monkeypatch.setattr(field, "_uni_is_irreducible", counted)
+    for p, k in ((2, 2), (7, 3), (32003, 3), (101, 8)):
+        modulus = field._find_modulus(p, k, 0)
+        alone = len(calls)
+        calls.clear()
+        assert ExtFieldCtx(p, k).modulus == modulus
+        assert len(calls) == alone
+        calls.clear()
+    assert ExtFieldCtx(2, 2, modulus=(3, -1, 1)).modulus == (1, 1, 1)
+    assert calls == [(1, 1, 1)]
+    with pytest.raises(InputError, match="not irreducible"):
+        ExtFieldCtx(2, 2, modulus=(0, 0, 1))
+    with pytest.raises(InputError, match="monic"):
+        ExtFieldCtx(3, 2, modulus=(1, 0, 2))
+
+
 @pytest.mark.parametrize("ctx", CTXS, ids=repr)
 def test_divmod_roundtrip(ctx):
     rng = random.Random(11)
@@ -408,6 +434,52 @@ def test_prime_field_int_kernels_match_the_element_bodies(case):
             flat = ([out] if key == "eval" else
                     out[0] + out[1] if key == "divmod" else out)
             assert all(0 <= c < p for c in flat), key
+
+
+def _counted(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# 100 = 0b1100100: one times the base, six squarings and two multiplies;
+# the loops that field.power replaced took at most one product more
+POWER_PRODUCTS = [(0, 0), (1, 1), (2, 2), (100, 9)]
+
+
+@pytest.mark.parametrize("e, products", POWER_PRODUCTS)
+@pytest.mark.parametrize("ctx, a", [(field_ctx(7, 2), (3, 5)),
+                                    (field_ctx(0), Fraction(-2, 3))],
+                         ids=repr)
+def test_an_element_power_takes_bits_plus_popcount_minus_one_products(
+        monkeypatch, ctx, a, e, products):
+    want = ctx.one
+    for _ in range(e):
+        want = ctx.mul(want, a)
+    muls = _counted(monkeypatch, type(ctx), "mul")
+    got = ctx.pow(a, e)
+    monkeypatch.undo()
+    assert got == want and len(muls) == products
+
+
+@pytest.mark.parametrize("e, products", POWER_PRODUCTS)
+def test_a_power_mod_takes_bits_plus_popcount_minus_one_products(
+        monkeypatch, e, products):
+    # (x + 3)^e mod x^3 + 1 over F_7 through the element body
+    ctx, f, m = _ElementBodies(7), [3, 1], [1, 0, 0, 1]
+    want = [1]
+    for _ in range(e):
+        want = uni_divmod(ctx, uni_mul(ctx, want, f), m)[1]
+    muls = _counted(monkeypatch, field, "uni_mul")
+    got = uni_pow_mod(ctx, f, e, m)
+    monkeypatch.undo()
+    assert got == want and len(muls) == products
 
 
 def _count_powers(monkeypatch):

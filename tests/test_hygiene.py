@@ -191,9 +191,9 @@ def test_context_kernels_are_written_once():
         assert [c.__name__ for c in subs if name in c.__dict__] == []
 
 
-class _Divisions(ast.NodeVisitor):
-    """The dotted class and function names of the scopes that use true
-    division, "" for one at module level."""
+class _Scopes(ast.NodeVisitor):
+    """The dotted class and function names of the scopes in which a
+    subclass's visitor calls _hit, "" for module level."""
 
     def __init__(self):
         self.stack, self.found = [], set()
@@ -205,19 +205,55 @@ class _Divisions(ast.NodeVisitor):
 
     visit_ClassDef = visit_FunctionDef = _scope
 
-    def visit_Div(self, node):
+    def _hit(self, node):
         self.found.add(".".join(self.stack))
+
+
+class _Divisions(_Scopes):
+    """The scopes that use true division."""
+
+    visit_Div = _Scopes._hit
+
+
+class _Reads(_Scopes):
+    """The scopes that read a name, bare or as an attribute."""
+
+    def __init__(self, name):
+        super().__init__()
+        self.name = name
+
+    def visit_Name(self, node):
+        if node.id == self.name:
+            self._hit(node)
+
+    def visit_Attribute(self, node):
+        if node.attr == self.name:
+            self._hit(node)
+        self.generic_visit(node)
+
+
+def _package_scopes(make):
+    """(file name, scope) over the package for the visitors make() gives."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        scopes = make()
+        scopes.visit(ast.parse(path.read_text(), filename=str(path)))
+        found |= {(path.name, name) for name in scopes.found}
+    return found
 
 
 def test_true_division_only_inverts_a_fraction():
     # a rational that is integral is an int, so a stray a / b on elements
     # gives a float in silence; the one / divides 1 by a Fraction
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        divs = _Divisions()
-        divs.visit(ast.parse(path.read_text(), filename=str(path)))
-        found |= {(path.name, name) for name in divs.found}
-    assert found == {("field.py", "RationalCtx.inv")}
+    assert _package_scopes(_Divisions) == {("field.py", "RationalCtx.inv")}
+
+
+def test_every_power_goes_through_field_power():
+    # one square-and-multiply loop counts the products of every power; a
+    # fifth caller, or a loop of its own, is a change to review
+    assert _package_scopes(lambda: _Reads("power")) == {
+        ("field.py", "FieldCtx.pow"), ("field.py", "uni_pow_mod"),
+        ("poly.py", "BiPoly.__pow__"), ("invariants.py", "_ser_pow")}
 
 
 _CONTEXT_CLASSES = {c.__name__ for c in (FieldCtx, *_subclasses(FieldCtx))}

@@ -19,7 +19,8 @@ from singcurve.invariants import (INF, Parametrization, ZariskiSeq,
                                   rho, semigroup_gaps, tree_delta,
                                   tree_mu_bar, zariski_sequence)
 from singcurve.invariants import (_off_path_product, _parametrize_arrow,
-                                  _ser_eval, _solve_smooth, _tree_path)
+                                  _ser_eval, _ser_mul, _ser_pow,
+                                  _solve_smooth, _tree_path)
 from singcurve.milnor import local_intersection
 from singcurve.poly import BiPoly, parse_poly
 from singcurve.tree import build_tree, build_tree_multi, minimalize
@@ -343,6 +344,22 @@ def _count(monkeypatch, name):
 
     monkeypatch.setattr(invariants, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("e, products", [(0, 0), (1, 1), (2, 2), (100, 9)])
+def test_a_series_power_takes_bits_plus_popcount_minus_one_products(
+        monkeypatch, e, products):
+    # 100 = 0b1100100: one times the base, six squarings and two
+    # multiplies, each product cut to exactly n entries
+    ctx, n = field_ctx(101), 12
+    a = [0, 1, 5, 0, 100]
+    want = [1] + [0] * (n - 1)
+    for _ in range(e):
+        want = _ser_mul(ctx, want, a, n)
+    muls = _count(monkeypatch, "_ser_mul")
+    got = _ser_pow(ctx, a, e, n)
+    monkeypatch.undo()
+    assert got == want and len(got) == n and len(muls) == products
 
 
 def test_the_branch_series_starts_at_its_first_order(monkeypatch):

@@ -81,6 +81,18 @@ def test_a_monomial_power_takes_no_product(monkeypatch, ctx, v, n):
     assert (base ** n).c == want.c
 
 
+def test_equality_is_polynomial_equality():
+    # a BiPoly keeps its coefficients as given, and 4 x - x is the zero
+    # polynomial over F_3 and over F_9
+    f3, f9 = field_ctx(3), field_ctx(3, 2)
+    assert BiPoly(f3, {(1, 0): 4}) == parse_poly("x", f3)
+    assert BiPoly(f9, {(1, 0): (4, 0)}) == parse_poly("x", f9)
+    assert BiPoly(f9, {(1, 0): (4, 3)}) == parse_poly("x", f9)
+    assert BiPoly(f3, {(1, 0): 4}) != parse_poly("x + y", f3)
+    assert BiPoly(f3, {(1, 0): 4}) != parse_poly("4 x", field_ctx(5))
+    assert parse_poly("x", f3) != "x"
+
+
 def test_parse_generator():
     f9 = field_ctx(3, 2)
     f = parse_poly("g*x + g^2", f9)
