@@ -44,6 +44,7 @@ half, 2^(8w - 1) rounded down to a multiple of p: nonnegative slots, and
 only _elems over Q has to take the offset off.
 """
 
+import functools
 import math
 import random
 import struct
@@ -55,10 +56,17 @@ from .errors import (Char0IrreducibleRemainder, Char0Unsupported,
                      ZeroPolynomial)
 
 
-# Miller-Rabin with the first twelve prime bases decides every n below this
-# bound (Sorenson and Webster 2015)
+# Miller-Rabin with the first thirteen prime bases decides every n below
+# this bound (Sorenson and Webster 2015)
 PRIME_TEST_LIMIT = 3317044064679887385961981
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (bound, m): the first m prime bases decide every n below bound, the least
+# strong pseudoprime to all of them (Jaeschke 1993; Jiang and Deng 2014;
+# Sorenson and Webster 2015)
+_BASES_BY_BOUND = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+                   (2152302898747, 5), (3474749660383, 6),
+                   (341550071728321, 7), (3825123056546413051, 9),
+                   (318665857834031151167461, 12), (PRIME_TEST_LIMIT, 13))
 
 # struct codes of the standard little-endian unsigned sizes in bytes; the
 # lower-case codes are the signed ones
@@ -78,7 +86,8 @@ SPLIT_TRIES = 64
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin for n below PRIME_TEST_LIMIT."""
+    """Deterministic Miller-Rabin for n below PRIME_TEST_LIMIT, with the
+    fewest prime bases that decide n's size."""
     if n < 2:
         return False
     for b in _PRIME_BASES:
@@ -90,7 +99,8 @@ def is_prime(n):
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for b in _PRIME_BASES:
+    m = next(m for bound, m in _BASES_BY_BOUND if n < bound)
+    for b in _PRIME_BASES[:m]:
         x = pow(b, d, n)
         if x in (1, n - 1):
             continue
@@ -840,7 +850,8 @@ def _sqrt(ctx, a, rng):
 
     With q - 1 = 2^e t, t odd, x = a^((t + 1)/2) has x^2 = a b, b = a^t of
     order 2^i, i < e.  While b != 1, x takes a factor of c = z^t, z a
-    non-residue drawn from rng, that lowers i; q = 3 mod 4 needs no z.
+    non-residue drawn from the source rng() returns, that lowers i;
+    q = 3 mod 4 needs no z.
     """
     q = ctx.order
     e, t = 0, q - 1
@@ -850,7 +861,7 @@ def _sqrt(ctx, a, rng):
     if ctx.is_one(b):
         return x
     for _ in range(SPLIT_TRIES):
-        z = ctx.rand_elem(rng)
+        z = ctx.rand_elem(rng())
         if not ctx.is_zero(z) and not _is_square(ctx, z):
             break
     else:
@@ -900,10 +911,11 @@ def _uni_ddf(ctx, f):
 
 
 def _uni_edf(ctx, f, d, rng, s=None):
-    """Split a monic product of distinct irreducibles, all of degree d; s,
-    x^((q - 1)/2) modulo a multiple of f, makes the first try u = x.  Over
-    odd q a quadratic with d = 1 is (x - (-b + r)/2)(x - (-b - r)/2), r the
-    square root of its discriminant."""
+    """Split a monic product of distinct irreducibles, all of degree d, by
+    draws from the source rng() returns; s, x^((q - 1)/2) modulo a multiple
+    of f, makes the first try u = x.  Over odd q a quadratic with d = 1 is
+    (x - (-b + r)/2)(x - (-b - r)/2), r the square root of its
+    discriminant."""
     n = uni_deg(f)
     if n == d:
         return [f]
@@ -914,8 +926,8 @@ def _uni_edf(ctx, f, d, rng, s=None):
                 for v in (r, ctx.neg(r))]
     for _ in range(SPLIT_TRIES):
         if s is None:
-            u = ([ctx.rand_elem(rng), ctx.one] if d == 1 and q % 2 else
-                 uni_trim(ctx, [ctx.rand_elem(rng) for _ in range(n)]))
+            u = ([ctx.rand_elem(rng()), ctx.one] if d == 1 and q % 2 else
+                 uni_trim(ctx, [ctx.rand_elem(rng()) for _ in range(n)]))
             if uni_deg(u) < 1:
                 continue
             if q % 2:
@@ -951,7 +963,8 @@ def uni_factor(ctx, f):
 
     Returns (leading coefficient, [(monic irreducible coefficient list, mult)]),
     sorted deterministically.  Splitting randomness is seeded from the context
-    seed and the input, so results do not depend on call order.
+    seed and the input, so results do not depend on call order; it is seeded
+    only when a split draws.
 
     Squarefree parts g split by degree, then into irreducibles (Cantor and
     Zassenhaus 1981).  Over odd q one power s = x^((q - 1)/2) mod g serves
@@ -970,8 +983,11 @@ def uni_factor(ctx, f):
     lead = f[-1]
     if uni_deg(f) == 0:
         return lead, []
-    rng = random.Random(repr((ctx.seed, ctx.characteristic, ctx.ext_degree,
-                              _flat(f))))
+    if uni_deg(f) == 1:  # its own factorization
+        return lead, [(uni_monic(ctx, f), 1)]
+    # the splitting draws, seeded on the first one: most inputs take none
+    rng = functools.cache(lambda: random.Random(repr((
+        ctx.seed, ctx.characteristic, ctx.ext_degree, _flat(f)))))
     out = []
     for g, m in uni_squarefree(ctx, uni_monic(ctx, f)):
         for h, d, s in _uni_ddf(ctx, g):

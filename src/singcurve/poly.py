@@ -5,11 +5,27 @@ The parser accepts sums/differences of terms built from x, y, integers,
 parentheses, '^' powers and optional '*' (an extension-field context also
 enables the generator symbol g); the printer emits a canonical form the
 parser accepts back, except for non-integer rationals.
+
+parse_poly reads the text once.  One regex gives its tokens, each atom (an
+integer, x, y, g or a closing parenthesis) with the exponent it carries.
+A term is kept as (c, i, j), c x^i y^j, times the product of its
+parenthesised groups, and folds into the one dict of its sum when it
+ends.  Only groups multiply and power whole polynomials, through
+BiPoly.__mul__ and BiPoly.__pow__ (so field.power), after DEGREE_LIMIT
+and POWER_WORK_LIMIT are checked.
+
+A product f g goes term by term unless the density rule (_dense_layout)
+finds its term pairs more than twice the box of its exponents.  Then
+x^i y^j becomes t^(i + jD), D the width of that box in x, and one
+FieldCtx.mul_series call multiplies the two series (Kronecker 1882,
+Schoenhage 1982): the codec that sub_mul_rows shares.
 """
 
 import functools
 import itertools
+import math
 import operator
+import re
 
 from .errors import ParseError, ZeroPolynomial
 from .field import (ExtFieldCtx, PrimeFieldCtx, embedding, power, uni_add,
@@ -72,7 +88,12 @@ class BiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        """The product, with sums that cancel to zero removed."""
+        """The product, with sums that cancel to zero removed: one packed
+        product when _dense_layout finds the operands dense, else term by
+        term."""
+        layout = _dense_layout(self.c, other.c)
+        if layout:
+            return _mul_packed(self, other, *layout)
         ctx = self.ctx
         add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
         out = {}
@@ -97,7 +118,8 @@ class BiPoly:
             raise ValueError("negative power of a polynomial")
         if len(self.c) == 1:
             ((i, j), v), = self.c.items()
-            return BiPoly(self.ctx, {(i * n, j * n): self.ctx.pow(v, n)})
+            return BiPoly.monomial(self.ctx, i * n, j * n,
+                                   self.ctx.pow(v, n))
         one = BiPoly.const(self.ctx, self.ctx.one)
         return power(operator.mul, self, n, one)
 
@@ -140,6 +162,59 @@ class BiPoly:
         return f"BiPoly({poly_str(self)})"
 
 
+def _dense_layout(a, b):
+    """The layout of the packed product of the term dicts a and b, or None
+    when the term-by-term loop is cheaper: the density rule.
+
+    The loop forms len(a) len(b) pairs at about the cost of one slot of the
+    packed product, whose slots are the box of the product's exponents, and
+    packing and unpacking a small product costs about as much again.  So a
+    product is packed when the pairs are more than twice the box.  The box
+    is at least len(a) + len(b) - 1, which settles most small products
+    before the exponents are read.  The layout is the lowest exponents
+    (i0, j0) of a and of b and the box's width D in x.
+    """
+    pairs = len(a) * len(b)
+    if pairs <= 2 * (len(a) + len(b)):
+        return None
+    (ai, aj), (bi, bj) = zip(*a), zip(*b)
+    i0, i1, j0, j1 = min(ai), max(ai), min(aj), max(aj)
+    k0, k1, l0, l1 = min(bi), max(bi), min(bj), max(bj)
+    width = i1 - i0 + k1 - k0 + 1
+    if pairs <= 2 * width * (j1 - j0 + l1 - l0 + 1):
+        return None
+    return (i0, j0), (k0, l0), width
+
+
+def _mul_packed(f, g, fo, go, width):
+    """f g by one FieldCtx.mul_series call (Kronecker substitution): each
+    operand, shifted to its lowest exponents fo and go, becomes the series
+    of its terms v t^(i + j width), which the product keeps apart."""
+    ctx = f.ctx
+    zero, add = ctx.zero, ctx.add
+
+    def packed(h, i0, j0):
+        out = [zero] * ((max(j for _, j in h.c) - j0 + 1) * width)
+        for (i, j), v in h.c.items():
+            # the kernel takes canonical elements, as add returns them
+            out[i - i0 + (j - j0) * width] = add(zero, v)
+        return out
+
+    a = packed(f, *fo)
+    b = a if g is f else packed(g, *go)
+    n = len(a) + len(b) - width
+    prod = ctx.mul_series(a, b, n)
+    i0, j0 = fo[0] + go[0], fo[1] + go[1]
+    out = {}
+    for t in range(0, n, width):
+        for i, v in enumerate(prod[t:t + width], i0):
+            if v != zero:
+                out[(i, j0 + t // width)] = v
+    r = BiPoly(ctx)
+    r.c = out
+    return r
+
+
 def partials(f):
     """(f_x, f_y)."""
     ctx = f.ctx
@@ -177,125 +252,173 @@ def clip_total(f, n):
 # parsing and printing
 
 
-_TOKEN_CHARS = set("xyg+-*^()")
 # the largest exponent, and total degree of a power, that the parser
 # expands: every row layer allocates one row per y-degree
 DEGREE_LIMIT = 10 ** 4
+# the most work that the squarings of a group power may take in the parser,
+# in term pairs of the schoolbook loop (_power_work): the largest powers of
+# 1 + x + y below it, ^207 over Q, ^511 over F_32003, ^295 over F_{32003^2}
+# and ^131 over F_{32003^8}, take 1.0-1.8 s of process CPU (one run each,
+# 2-vCPU VM); DEGREE_LIMIT alone admits ^10000, about 5 * 10^7 terms
+POWER_WORK_LIMIT = 7 * 10 ** 5
+
+# a token and the whitespace after it: an atom, which is an integer, x, y,
+# g or a closing parenthesis, with the exponent it carries, or an operator;
+# leading whitespace would be matched again from every later offset
+_TOKEN = re.compile(r"(?:(\d+|[xyg)])(?:\s*\^\s*(\d+))?|([-+*(^]))\s*")
+_BAD = re.compile(r"[^\s\dxyg+*^()-]")
+# what the parser expects next: a term with an optional sign, a factor, or
+# anything that may follow a factor
+_SIGNED, _FACTOR, _AFTER = range(3)
 
 
-def _tokenize(s):
-    toks = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            toks.append(("int", int(s[i:j]), i))
-            i = j
-            continue
-        if ch in _TOKEN_CHARS:
-            toks.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return toks
+def _pos(s, k, group=0):
+    """The offset of token k of s (-1 past the last token), or of its
+    exponent with group 2."""
+    m = next(itertools.islice(_TOKEN.finditer(s), k, None), None)
+    return -1 if m is None else m.start(group or (1 if m[1] else 3))
 
 
-class _Parser:
-    def __init__(self, toks, ctx):
-        self.toks = toks
-        self.pos = 0
-        self.ctx = ctx
+def _fold(ctx, acc, c, i, j, grp):
+    """Add the term c x^i y^j, times grp unless it is None, to the sum acc,
+    a dict that keeps no zero coefficient."""
+    terms = [((i, j), c)] if grp is None else [
+        ((a + i, b + j), ctx.mul(v, c)) for (a, b), v in grp.c.items()]
+    for key, v in terms:
+        prev = acc.get(key)
+        if prev is not None:
+            v = ctx.add(prev, v)
+        if ctx.is_zero(v):
+            acc.pop(key, None)
+        else:
+            acc[key] = v
 
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+def _power_work(f, n):
+    """The work of the squarings of f^n, f with t >= 2 terms, in term pairs
+    of the schoolbook loop: each f^m times f^m that field.power forms,
+    m = n >> s, costs its pairs where the density rule keeps the loop and
+    twice its packed slots where it packs, times the ints of a coefficient
+    in the kernels' codec (2k - 1 over F_{p^k}; over Q, 1 plus one per 64
+    of the 2m log |f|_1 bits that bound the integers the parser makes).
+    The terms of f^m are bounded by the monomials of degree m in t
+    variables, C(m + t - 1, t - 1), by its product over the base-p digits
+    of m in characteristic p (f^(p^i) has t terms), and by the boxes of its
+    exponents and of their sums and differences (for forms and lines).
+    """
+    ctx, t = f.ctx, len(f.c)
+    p, ints = ctx.characteristic, 2 * ctx.ext_degree - 1
+    dx, dy = (max(e) - min(e) for e in zip(*f.c))
+    ds, dd = (max(e) - min(e) for e in zip(*[(i + j, i - j) for i, j in f.c]))
+    norm = 0 if p else sum(map(abs, f.c.values())).bit_length()
+    work = 0
+    for s in range(1, n.bit_length()):
+        m = rest = n >> s
+        terms = 1
+        while rest:  # the base-p digits of m; m itself over Q
+            rest, digit = divmod(rest, p) if p else (0, rest)
+            terms *= math.comb(digit + t - 1, t - 1)
+        pairs = min(terms, (m * dx + 1) * (m * dy + 1),
+                    (m * ds + 1) * (m * dd + 1)) ** 2
+        slots = (2 * m * dx + 1) * (2 * m * dy + 1)
+        work += ints * (pairs if pairs <= 2 * slots
+                        else 2 * slots * (1 + 2 * m * norm // 64))
+    return work
 
-    def expr(self):
-        neg = False
-        if self.peek() == "-":
-            self.next()
-            neg = True
-        elif self.peek() == "+":
-            self.next()
-        acc = self.term()
-        if neg:
-            acc = -acc
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
-            t = self.term()
-            acc = acc + t if op == "+" else acc - t
-        return acc
 
-    def term(self):
-        acc = self.factor()
-        while True:
-            nxt = self.peek()
-            if nxt == "*":
-                self.next()
-                acc = acc * self.factor()
-            elif nxt in ("x", "y", "g", "int", "("):
-                acc = acc * self.factor()
-            else:
-                return acc
+def _check_degree(s, k, e, deg):
+    """Refuse the exponent e of token k of s on a base of degree deg."""
+    if e * max(deg, 1) > DEGREE_LIMIT:
+        raise ParseError(f"power ^{e} of a degree-{deg} base is above "
+                         f"DEGREE_LIMIT = {DEGREE_LIMIT}", _pos(s, k, 2))
 
-    def factor(self):
-        base = self.base()
-        if self.peek() == "^":
-            self.next()
-            kind, val, pos = self.toks[self.pos] if self.pos < len(self.toks) else (None, None, -1)
-            if kind != "int":
-                raise ParseError("'^' needs a natural number exponent", pos)
-            self.next()
-            deg = max((i + j for i, j in base.c), default=0)
-            if val * max(deg, 1) > DEGREE_LIMIT:
-                raise ParseError(f"power ^{val} of a degree-{deg} base is "
-                                 f"above DEGREE_LIMIT = {DEGREE_LIMIT}", pos)
-            return base ** val
-        return base
 
-    def base(self):
-        if self.pos >= len(self.toks):
-            raise ParseError("unexpected end of input")
-        kind, val, pos = self.next()
-        ctx = self.ctx
-        if kind == "x":
-            return BiPoly.monomial(ctx, 1, 0)
-        if kind == "y":
-            return BiPoly.monomial(ctx, 0, 1)
-        if kind == "g":
-            if getattr(ctx, "k", 1) < 2:
-                raise ParseError("generator g needs an extension field context", pos)
-            return BiPoly.const(ctx, ctx.gen)
-        if kind == "int":
-            return BiPoly.const(ctx, ctx.from_int(val))
-        if kind == "(":
-            inner = self.expr()
-            if self.peek() != ")":
-                raise ParseError("missing ')'", pos)
-            self.next()
-            return inner
-        raise ParseError(f"unexpected token {val!r}", pos)
+def _group_power(s, k, g, e):
+    """g^e for the group g that token k of s closes with exponent e, after
+    the limits on its degree and work."""
+    _check_degree(s, k, e, max((a + b for a, b in g.c), default=0))
+    work = _power_work(g, e) if len(g.c) > 1 else 0
+    if work > POWER_WORK_LIMIT:
+        raise ParseError(f"power ^{e} of a {len(g.c)}-term group takes about "
+                         f"{work} term pairs, above POWER_WORK_LIMIT = "
+                         f"{POWER_WORK_LIMIT}", _pos(s, k, 2))
+    return g ** e
 
 
 def parse_poly(s, ctx):
-    toks = _tokenize(s)
+    """The BiPoly that the text s denotes over ctx, in one pass over its
+    tokens (see the module docstring); a ParseError carries the offset of
+    the token at fault."""
+    bad = _BAD.search(s)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    toks = _TOKEN.findall(s)
     if not toks:
         raise ParseError("empty input")
-    p = _Parser(toks, ctx)
-    out = p.expr()
-    if p.pos != len(toks):
-        raise ParseError(f"trailing input {toks[p.pos][1]!r}", toks[p.pos][2])
-    return out
+    one = ctx.one
+    # the open groups' sums and terms, the sum so far and the term so far:
+    # its sign, coefficient, exponents and product of groups
+    frames, acc = [], {}
+    neg, c, i, j, grp = False, one, 0, 0, None
+    want, powered = _SIGNED, False
+    for k, (atom, exp, op) in enumerate(toks):
+        if op:
+            if want == _AFTER and op in "+-":
+                _fold(ctx, acc, ctx.neg(c) if neg else c, i, j, grp)
+                neg, c, i, j, grp = op == "-", one, 0, 0, None
+                want = _FACTOR
+            elif want == _SIGNED and op in "+-":
+                neg, want = op == "-", _FACTOR
+            elif op == "(":
+                frames.append((acc, neg, c, i, j, grp, k))
+                acc, neg, c, i, j, grp = {}, False, one, 0, 0, None
+                want = _SIGNED
+            elif want != _AFTER:
+                raise ParseError(f"unexpected token {op!r}", _pos(s, k))
+            elif op == "*":
+                want = _FACTOR
+            elif not powered:
+                raise ParseError("'^' needs a natural number exponent",
+                                 _pos(s, k + 1))
+            elif frames:  # a second '^' ends the group
+                raise ParseError("missing ')'", _pos(s, frames[-1][-1]))
+            else:
+                raise ParseError("trailing input '^'", _pos(s, k))
+            continue
+        e = int(exp) if exp else 1
+        if atom == ")":
+            if want != _AFTER:
+                raise ParseError("unexpected token ')'", _pos(s, k))
+            if not frames:
+                raise ParseError("trailing input ')'", _pos(s, k))
+            _fold(ctx, acc, ctx.neg(c) if neg else c, i, j, grp)
+            g = BiPoly(ctx, acc)
+            acc, neg, c, i, j, grp, _ = frames.pop()
+            if exp:
+                g = _group_power(s, k, g, e)
+            grp = g if grp is None else grp * g
+        else:
+            if atom == "g" and getattr(ctx, "k", 1) < 2:
+                raise ParseError("generator g needs an extension field "
+                                 "context", _pos(s, k))
+            if exp:
+                _check_degree(s, k, e, int(atom in "xy"))
+            if atom == "x":
+                i += e
+            elif atom == "y":
+                j += e
+            else:
+                v = ctx.gen if atom == "g" else ctx.from_int(int(atom))
+                if exp:
+                    v = ctx.pow(v, e)
+                c = v if c is one else ctx.mul(c, v)
+        want, powered = _AFTER, bool(exp)
+    if want != _AFTER:
+        raise ParseError("unexpected end of input")
+    if frames:
+        raise ParseError("missing ')'", _pos(s, frames[-1][-1]))
+    _fold(ctx, acc, ctx.neg(c) if neg else c, i, j, grp)
+    return BiPoly(ctx, acc)
 
 
 def _mono_str(i, j):

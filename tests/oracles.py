@@ -11,12 +11,12 @@ import sympy
 from sympy import GF, Poly, symbols
 
 from singcurve.errors import (BadOrder, InternalError, NotCoprime,
-                             OrderMismatch, ParityViolation)
+                             OrderMismatch, ParityViolation, ParseError)
 from singcurve.field import (uni_divmod, uni_gcd, uni_monic, uni_mul,
                              uni_order, uni_quo, uni_sub, uni_trim)
 from singcurve.hn import hn_map
 from singcurve.invariants import INF
-from singcurve.poly import BiPoly, clip_total, vanishes_at_origin
+from singcurve.poly import DEGREE_LIMIT, BiPoly, clip_total, vanishes_at_origin
 
 X, Y, U, T = symbols("x y u t")
 
@@ -700,3 +700,151 @@ def reference_intersection(f, g):
         assert n <= bound, "no round certified"
         n *= 2
     return v
+
+
+# ---------------------------------------------------------------------------
+# the recursive-descent parser, the reference for poly.parse_poly: the same
+# grammar and errors, with products and powers formed term by term
+
+
+_TOKEN_CHARS = set("xyg+-*^()")
+
+
+def _tokenize(s):
+    toks = []
+    i = 0
+    while i < len(s):
+        ch = s[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(s) and s[j].isdigit():
+                j += 1
+            toks.append(("int", int(s[i:j]), i))
+            i = j
+            continue
+        if ch in _TOKEN_CHARS:
+            toks.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    return toks
+
+
+class _Parser:
+    def __init__(self, toks, ctx):
+        self.toks = toks
+        self.pos = 0
+        self.ctx = ctx
+
+    def peek(self):
+        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+
+    def next(self):
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def expr(self):
+        neg = False
+        if self.peek() == "-":
+            self.next()
+            neg = True
+        elif self.peek() == "+":
+            self.next()
+        acc = self.term()
+        if neg:
+            acc = -acc
+        while self.peek() in ("+", "-"):
+            op = self.next()[0]
+            t = self.term()
+            acc = acc + t if op == "+" else acc - t
+        return acc
+
+    def term(self):
+        acc = self.factor()
+        while True:
+            nxt = self.peek()
+            if nxt == "*":
+                self.next()
+                acc = full_product(acc, self.factor())[0]
+            elif nxt in ("x", "y", "g", "int", "("):
+                acc = full_product(acc, self.factor())[0]
+            else:
+                return acc
+
+    def factor(self):
+        base = self.base()
+        if self.peek() == "^":
+            self.next()
+            kind, val, pos = (self.toks[self.pos] if self.pos < len(self.toks)
+                              else (None, None, -1))
+            if kind != "int":
+                raise ParseError("'^' needs a natural number exponent", pos)
+            self.next()
+            deg = max((i + j for i, j in base.c), default=0)
+            if val * max(deg, 1) > DEGREE_LIMIT:
+                raise ParseError(f"power ^{val} of a degree-{deg} base is "
+                                 f"above DEGREE_LIMIT = {DEGREE_LIMIT}", pos)
+            out = BiPoly.const(self.ctx, self.ctx.one)
+            for _ in range(val):
+                out = full_product(out, base)[0]
+            return out
+        return base
+
+    def base(self):
+        if self.pos >= len(self.toks):
+            raise ParseError("unexpected end of input")
+        kind, val, pos = self.next()
+        ctx = self.ctx
+        if kind == "x":
+            return BiPoly.monomial(ctx, 1, 0)
+        if kind == "y":
+            return BiPoly.monomial(ctx, 0, 1)
+        if kind == "g":
+            if getattr(ctx, "k", 1) < 2:
+                raise ParseError("generator g needs an extension field "
+                                 "context", pos)
+            return BiPoly.const(ctx, ctx.gen)
+        if kind == "int":
+            return BiPoly.const(ctx, ctx.from_int(val))
+        if kind == "(":
+            inner = self.expr()
+            if self.peek() != ")":
+                raise ParseError("missing ')'", pos)
+            self.next()
+            return inner
+        raise ParseError(f"unexpected token {val!r}", pos)
+
+
+def reference_parse(s, ctx):
+    """parse_poly by recursive descent over a token list."""
+    toks = _tokenize(s)
+    if not toks:
+        raise ParseError("empty input")
+    p = _Parser(toks, ctx)
+    out = p.expr()
+    if p.pos != len(toks):
+        raise ParseError(f"trailing input {toks[p.pos][1]!r}", toks[p.pos][2])
+    return out
+
+
+def miller_rabin(n, bases):
+    """Whether the odd n > max(bases) passes the strong probable-prime test
+    to every one of the bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

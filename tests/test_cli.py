@@ -211,6 +211,17 @@ def test_a_power_above_the_degree_limit_fails_fast():
         str(DEGREE_LIMIT - 1)
 
 
+def test_a_dense_power_above_the_work_limit_fails_fast():
+    # DEGREE_LIMIT admits (1 + x + y)^10000, about 5 * 10^7 terms; the
+    # parser refuses it before the first product
+    for argv in (["mu", "-f", "(1 + x + y)^10000"],
+                 ["tree", "-p", "32003", "-f", "x^2 - (1 + x + y)^10000"]):
+        start = time.process_time()
+        code, out = run(config_from_argv(argv))
+        assert time.process_time() - start < 1
+        assert code == 2 and "POWER_WORK_LIMIT" in out, (argv, out)
+
+
 def test_area_check_command():
     out = _ok("area-check", f_text=EX1)
     assert out.splitlines() == ["-M = 155", "area sum = 155", "equal: yes"]

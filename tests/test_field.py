@@ -1,5 +1,6 @@
 """Field contexts, univariate arithmetic, factorization, splitting fields."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,13 +14,13 @@ from singcurve.errors import (Char0IrreducibleRemainder, DivisionByZero,
 from singcurve.field import (EXT_DEGREE_LIMIT, PRIME_TEST_LIMIT, ExtFieldCtx,
                              PrimeFieldCtx, adjoin_splitting, embedding,
                              field_ctx, is_prime, uni_deg, uni_divmod,
-                             uni_eval, uni_factor, uni_gcd, uni_mul,
-                             uni_pow_mod, uni_rational_roots, uni_squarefree,
-                             uni_trim)
+                             uni_eval, uni_factor, uni_gcd, uni_monic,
+                             uni_mul, uni_pow_mod, uni_rational_roots,
+                             uni_squarefree, uni_trim)
 from singcurve.poly import BiPoly, _rows_trim, _to_yrows, clip_total
 
-from oracles import (brute_roots, euclid_gcd, full_product, series_product,
-                     small_elem, sympy_factor_fp)
+from oracles import (brute_roots, euclid_gcd, full_product, miller_rabin,
+                     series_product, small_elem, sympy_factor_fp)
 
 CTXS = [
     field_ctx(2), field_ctx(3), field_ctx(5), field_ctx(13),
@@ -301,6 +302,26 @@ def test_field_ctx_checks_the_extension_degree():
     assert big.ext_degree == 9 > EXT_DEGREE_LIMIT and len(roots) == 9
 
 
+# the least strong pseudoprime to the first m prime bases, for each m
+# where it grows (Jaeschke 1993; Jiang and Deng 2014; Sorenson and Webster
+# 2015)
+STRONG_PSEUDOPRIMES = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751,
+                       5: 2152302898747, 6: 3474749660383,
+                       7: 341550071728321, 9: 3825123056546413051,
+                       12: 318665857834031151167461}
+PRIMES_TO_41 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def test_is_prime_takes_the_bases_its_size_needs():
+    assert all(is_prime(n) == (n in PRIMES_TO_41 or (
+        n > 41 and all(n % b for b in PRIMES_TO_41)
+        and miller_rabin(n, PRIMES_TO_41[:12]))) for n in range(10 ** 5))
+    for m, n in STRONG_PSEUDOPRIMES.items():
+        # n passes the first m bases, and is_prime tries more
+        assert miller_rabin(n, PRIMES_TO_41[:m]), n
+        assert not is_prime(n), n
+
+
 def test_is_prime_on_strong_pseudoprimes_and_the_limit():
     sieve = [True] * 20000
     sieve[0] = sieve[1] = False
@@ -573,7 +594,7 @@ def test_sqrt_of_every_nonzero_square(ctx):
     # q - 1 = 2, 4, 12, 16, 8, 24 and 48: every 2-adic part from 2 to 16
     rng = random.Random(3)
     for a in _squares(ctx):
-        r = field._sqrt(ctx, a, rng)
+        r = field._sqrt(ctx, a, lambda: rng)
         assert ctx.mul(r, r) == a
 
 
@@ -597,7 +618,7 @@ class _SameDraw:
 ], ids=["edf", "sqrt"])
 def test_random_retries_are_bounded(p, run, stage):
     with pytest.raises(InternalError, match=stage):
-        run(field_ctx(p), _SameDraw(0))
+        run(field_ctx(p), lambda: _SameDraw(0))
 
 
 def _linear_factors(ctx, roots):
@@ -717,6 +738,61 @@ def test_factor_is_seeded_deterministic():
     ctx_b = field_ctx(13, seed=5)
     f = [1, 7, 0, 3, 1, 1, 0, 2, 1]
     assert uni_factor(ctx_a, f) == uni_factor(ctx_b, f)
+
+
+FACTOR_CTXS = (field_ctx(2), field_ctx(3), field_ctx(3, 2), field_ctx(101),
+               field_ctx(32003))
+
+
+def _factor_corpus(ctx):
+    """Seeded inputs of degree 1 to 8: random, and with a square factor."""
+    rng = random.Random(f"uni_factor corpus {ctx!r}")
+
+    def rand_poly(deg):
+        lead = ctx.rand_elem(rng)
+        while ctx.is_zero(lead):
+            lead = ctx.rand_elem(rng)
+        return [ctx.rand_elem(rng) for _ in range(deg)] + [lead]
+
+    out = [rand_poly(rng.randrange(1, 9)) for _ in range(40)]
+    for _ in range(10):
+        g, h = rand_poly(rng.randrange(1, 3)), rand_poly(rng.randrange(1, 4))
+        out.append(uni_mul(ctx, uni_mul(ctx, g, g), h))
+    return out
+
+
+def test_factorizations_stay_as_pinned():
+    # the digest of every factorization of the corpus, taken before linear
+    # inputs skipped the splitting and the random source was seeded lazily
+    text = repr([uni_factor(ctx, f) for ctx in FACTOR_CTXS
+                 for f in _factor_corpus(ctx)])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "a15ece6f8024e720"
+
+
+def test_a_factorization_without_draws_seeds_no_random_source(monkeypatch):
+    linear = [(ctx, f) for ctx in FACTOR_CTXS for f in _factor_corpus(ctx)
+              if uni_deg(f) == 1]
+    made = []
+    source = random.Random
+
+    def counted(*args):
+        made.append(args)
+        return source(*args)
+
+    monkeypatch.setattr(random, "Random", counted)
+    assert len(linear) > 10
+    for ctx, f in linear:
+        assert uni_factor(ctx, f)[1] == [(uni_monic(ctx, f), 1)]
+    # over F_32003, q = 3 mod 4: a quadratic splits by its discriminant's
+    # square root, x^((q + 1)/4), and an irreducible one is left whole
+    f = field_ctx(32003)
+    assert uni_factor(f, [2, 32000, 1])[1] == [([32001, 1], 1),
+                                                ([32002, 1], 1)]
+    assert uni_factor(f, [1, 0, 1])[1] == [([1, 0, 1], 1)]
+    assert made == []
+    # over F_101, q = 1 mod 4, the square root of 4 draws a non-residue
+    assert len(uni_factor(field_ctx(101), [3, 97, 1])[1]) == 2
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("ctx", FIN_CTXS, ids=repr)

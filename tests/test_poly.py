@@ -1,5 +1,6 @@
 """BiPoly arithmetic, parsing/printing, substitution, gcd, reduced check."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,7 +18,8 @@ from singcurve.poly import (BiPoly, clip_total, gcd_bipoly, parse_poly,
                             vanishes_at_origin)
 
 from curves import EX1, EX2, four_lines
-from oracles import full_product, gcd_prs, small_elem, substitute
+from oracles import (full_product, gcd_prs, reference_parse, small_elem,
+                     substitute)
 
 QQ = field_ctx(0)
 F5 = field_ctx(5)
@@ -177,22 +179,152 @@ def test_substitute_is_ring_hom():
             assert substitute(f * g, xv, yv) == substitute(f, xv, yv) * substitute(g, xv, yv)
 
 
-MUL_CTXS = (field_ctx(3), field_ctx(7, 2), QQ)
+MUL_CTXS = (QQ, F2, F5, field_ctx(3), field_ctx(32003), field_ctx(3, 2),
+            field_ctx(7, 2))
 
+_coeffs = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 _terms = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
-                         st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-                         max_size=6)
+                         _coeffs, max_size=6)
+# most of a small box, moved away from the origin: the packed shapes
+_dense_terms = st.builds(
+    lambda t, a, b: {(i + a, j + b): v for (i, j), v in t.items()},
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 3)), _coeffs,
+                    min_size=12, max_size=20),
+    st.integers(0, 9), st.integers(0, 9))
 
 
-@settings(max_examples=300)
-@given(st.sampled_from(MUL_CTXS), _terms, _terms)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MUL_CTXS), st.one_of(_terms, _dense_terms),
+       st.one_of(_terms, _dense_terms))
 def test_mul_matches_the_full_product(ctx, ft, gt):
     f, g = (BiPoly(ctx, {k: small_elem(ctx, a, b)
                          for k, (a, b) in t.items()})
             for t in (ft, gt))
-    prod = f * g
-    assert prod == full_product(f, g)[0]
-    assert all(not ctx.is_zero(v) for v in prod.c.values())
+    for prod, want in ((f * g, full_product(f, g)[0]),
+                       (f * f, full_product(f, f)[0])):
+        assert prod.c == want.c
+        assert all(not ctx.is_zero(v) for v in prod.c.values())
+
+
+def test_a_packed_product_reduces_its_coefficients_first():
+    # a BiPoly keeps its coefficients as given; the kernel takes F_p
+    # elements in [0, p) only, and sizes its slots for them
+    f = BiPoly(F5, {(i, j): (7 * i - 3 * j - 11) * (10 ** 9 + 1)
+                    for i in range(5) for j in range(5)})
+    assert poly._dense_layout(f.c, f.c)
+    assert (f * f).c == full_product(f, f)[0].c
+
+
+def _packed_products(monkeypatch):
+    calls = []
+    packed = poly._mul_packed
+
+    def counted(*args):
+        calls.append(args[0])
+        return packed(*args)
+
+    monkeypatch.setattr(poly, "_mul_packed", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ctx", [QQ, field_ctx(32003)], ids=repr)
+def test_the_density_rule_packs_dense_squares_only(monkeypatch, ctx):
+    calls = _packed_products(monkeypatch)
+    base = parse_poly("1 + x + y", ctx)
+    for k in (4, 8, 16):
+        f = base ** k
+        calls.clear()
+        assert (f * f).c == full_product(f, f)[0].c and len(calls) == 1
+    # the multiply by the base in a power, a unit times EX1, and the
+    # factor products of the paper's curves stay term by term
+    power16, power17 = base ** 16, base ** 17
+    calls.clear()
+    assert (power16 * base).c == power17.c
+    unit = parse_poly("1 + x + y + x y", ctx)
+    for text in (EX1, EX2, four_lines((1, 2, 3, 4))):
+        parse_poly(text, ctx) * unit
+    assert calls == []
+
+
+def test_a_dense_power_is_packed_in_time():
+    for ctx in (QQ, field_ctx(32003)):
+        start = time.process_time()
+        f = parse_poly("(1 + x + y)^200", ctx)
+        assert time.process_time() - start < 2, ctx
+        assert len(f.c) == 201 * 202 // 2
+        assert f.coeff(100, 50) == ctx.from_int(
+            math.factorial(200) // (math.factorial(100) * math.factorial(50)
+                                    * math.factorial(50)))
+
+
+def _poly_texts(gen):
+    """Well-formed texts: signs, juxtaposition, '*', '^' on atoms and on
+    nested groups, and g when gen holds."""
+    atoms = ["x", "y", "0", "1", "2", "3", "10"] + (["g"] if gen else [])
+    exps = ["", "", "^0", "^1", "^2", "^3", " ^ 2", "^ 1"]
+
+    @st.composite
+    def expr(draw, depth=2):
+        out = draw(st.sampled_from(["", "", "-", "+", "- "]))
+        for t in range(draw(st.integers(1, 3))):
+            if t:
+                out += draw(st.sampled_from([" + ", " - ", "-", "+"]))
+            for k in range(draw(st.integers(1, 3))):
+                if depth and draw(st.integers(0, 3)) == 0:
+                    body = "(" + draw(expr(depth - 1)) + ")"
+                else:
+                    body = draw(st.sampled_from(atoms))
+                # juxtaposed digits would read as one integer
+                seps = [" ", "*", " * "] + ([""] if not body[0].isdigit()
+                                            else [])
+                out += (draw(st.sampled_from(seps)) if k else "") + body
+                out += draw(st.sampled_from(exps))
+        return out
+
+    return expr()
+
+
+def test_parsing_takes_time_linear_in_the_text():
+    # blanks matched before each token would be matched again from every
+    # later offset, quadratic in a run of them; nesting keeps no call stack
+    x = parse_poly("x", QQ)
+    for text in ("x" + " " * 20000, " " * 20000 + "x",
+                 "(" * 3000 + "x" + ")" * 3000):
+        start = time.process_time()
+        assert parse_poly(text, QQ) == x
+        assert time.process_time() - start < 0.2
+    with pytest.raises(ParseError, match="natural number"):
+        parse_poly("x" + " " * 20000 + "^" + " " * 20000, QQ)
+
+
+PARSE_CTXS = (QQ, F2, F5, field_ctx(32003))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_parser_matches_the_reference(data):
+    ctx = data.draw(st.sampled_from(PARSE_CTXS + (field_ctx(3, 2),)))
+    text = data.draw(_poly_texts(ctx.ext_degree > 1))
+    assert parse_poly(text, ctx).c == reference_parse(text, ctx).c, text
+
+
+MALFORMED = ["", "x +", "x^", "x^y", "(x", "x)", "z", "x**2", "x^-2",
+             "x^2^3", "()", "(x))", "x - -y", "x * -y", "+-x", "x y z",
+             "  ", "(x^2^3)", "((x)", "x (y", "(x)^", "(x)^y", "-", "x*",
+             "x + * y", "2^100000", "(x + y)^20000", "x^ 2^", "(", ")",
+             "x - (y +)", "(1 + x)(2 - y", "x ^ -1", "x^2 3)", "x + + y z"]
+
+
+@pytest.mark.parametrize("ctx, text", [
+    (ctx, text) for ctx in (QQ, field_ctx(3, 2))
+    for text in MALFORMED + ["x + g (y"]
+    + (["g^2 x", "g^20000", "x (g)^20000"] if ctx is QQ else [])])
+def test_malformed_texts_fail_alike_in_both_parsers(ctx, text):
+    with pytest.raises(ParseError) as ref:
+        reference_parse(text, ctx)
+    with pytest.raises(ParseError) as new:
+        parse_poly(text, ctx)
+    assert (new.value.pos, str(new.value)) == (ref.value.pos, str(ref.value))
 
 
 def _sympy_divides(d, f, p):
