@@ -285,8 +285,9 @@ def _build_parser():
     m.add_argument("--unit", dest="unit_text", metavar="POLY",
                    help="multiply by this unit before taking partials")
     m.add_argument("--trunc", type=int, metavar="D",
-                   help="reduce the jet of the unit multiple below degree "
-                        "D; the answer is certified or rejected (exit 2)")
+                   help="reduce the jet below degree D of f, or of its "
+                        "unit multiple with --unit; the answer is certified "
+                        "or rejected (exit 2)")
     i = command("intersect", "intersection multiplicity at the origin")
     i.add_argument("-g", dest="g_text", metavar="POLY",
                    help="second curve")

@@ -260,10 +260,10 @@ def milnor_number(f, unit=None, trunc=None):
     """dim of the Jacobian quotient, as i(f_x, f_y); math.inf when the
     partials share a factor through the origin.
 
-    With a unit u the number is that of u*f, formed exactly.  With trunc D
-    as well, the germ is the jet j of u*f below total degree D, and its
-    value m is returned when the cut dropped nothing, or when m is finite
-    and D - 1 >= 2m - ord j + 2: a germ with finite mu is
+    With a unit u the number is that of u*f, formed exactly; u is 1 when
+    none is given.  With trunc D, the germ is the jet j of u*f below total
+    degree D, and its value m is returned when the cut dropped nothing, or
+    when m is finite and D - 1 >= 2m - ord j + 2: a germ with finite mu is
     (2 mu - ord + 2)-determined for right equivalence in every
     characteristic (Boubakri, Greuel, Markwig 2012), so u*f, which agrees
     with j below degree D, is right equivalent to j and has mu = m.  Any
@@ -299,8 +299,8 @@ def milnor_number(f, unit=None, trunc=None):
         if vanishes_at_origin(unit):
             raise NotAUnit("unit factor must not vanish at the origin")
         g = unit * f
-        if trunc is not None:
-            g, cut = clip_total(g, trunc)
+    if trunc is not None:
+        g, cut = clip_total(g, trunc)
     m = _mu_from_tree(g if cut else f)
     if m is None:
         m = local_intersection(*partials(g)).value

@@ -10,9 +10,12 @@ parse_poly reads the text once.  One regex gives its tokens, each atom (an
 integer, x, y, g or a closing parenthesis) with the exponent it carries.
 A term is kept as (c, i, j), c x^i y^j, times the product of its
 parenthesised groups, and folds into the one dict of its sum when it
-ends.  Only groups multiply and power whole polynomials, through
-BiPoly.__mul__ and BiPoly.__pow__ (so field.power), after DEGREE_LIMIT
-and POWER_WORK_LIMIT are checked.
+ends.  Only groups multiply and power whole polynomials: field.power
+forms a group's power once DEGREE_LIMIT admits it, and each product of
+groups, and each product in a power, is priced from its two operands
+(_product_work) and refused above POWER_WORK_LIMIT before BiPoly.__mul__
+forms it.  So a text's work is at most the cap times its number of
+products, and a refused power has formed only its cheaper squarings.
 
 A product f g goes term by term unless the density rule (_dense_layout)
 finds its term pairs more than twice the box of its exponents.  Then
@@ -23,7 +26,6 @@ Schoenhage 1982): the codec that sub_mul_rows shares.
 
 import functools
 import itertools
-import math
 import operator
 import re
 
@@ -255,12 +257,14 @@ def clip_total(f, n):
 # the largest exponent, and total degree of a power, that the parser
 # expands: every row layer allocates one row per y-degree
 DEGREE_LIMIT = 10 ** 4
-# the most work that the squarings of a group power may take in the parser,
-# in term pairs of the schoolbook loop (_power_work): the largest powers of
-# 1 + x + y below it, ^207 over Q, ^511 over F_32003, ^295 over F_{32003^2}
-# and ^131 over F_{32003^8}, take 1.0-1.8 s of process CPU (one run each,
-# 2-vCPU VM); DEGREE_LIMIT alone admits ^10000, about 5 * 10^7 terms
-POWER_WORK_LIMIT = 7 * 10 ** 5
+# the most work that one product the parser forms may take, in term pairs
+# of the schoolbook loop (_product_work).  The largest products it admits,
+# the squares of (1 + x + y)^104 over Q, ^256 over F_32003, ^148 over
+# F_{32003^2} and ^65 over F_{32003^8}, take 0.7-1.5 s of process CPU; the
+# powers (1 + x + y)^207 over Q, ^511 over F_32003, ^295 over F_{32003^2}
+# and ^131 over F_{32003^8}, and (x + y)^1447 over Q, price their products
+# at up to 524,176 pairs and take 0.6-1.9 s (one run each, 2-vCPU VM)
+POWER_WORK_LIMIT = 53 * 10 ** 4
 
 # a token and the whitespace after it: an atom, which is an integer, x, y,
 # g or a closing parenthesis, with the exponent it carries, or an operator;
@@ -294,36 +298,23 @@ def _fold(ctx, acc, c, i, j, grp):
             acc[key] = v
 
 
-def _power_work(f, n):
-    """The work of the squarings of f^n, f with t >= 2 terms, in term pairs
-    of the schoolbook loop: each f^m times f^m that field.power forms,
-    m = n >> s, costs its pairs where the density rule keeps the loop and
-    twice its packed slots where it packs, times the ints of a coefficient
-    in the kernels' codec (2k - 1 over F_{p^k}; over Q, 1 plus one per 64
-    of the 2m log |f|_1 bits that bound the integers the parser makes).
-    The terms of f^m are bounded by the monomials of degree m in t
-    variables, C(m + t - 1, t - 1), by its product over the base-p digits
-    of m in characteristic p (f^(p^i) has t terms), and by the boxes of its
-    exponents and of their sums and differences (for forms and lines).
-    """
-    ctx, t = f.ctx, len(f.c)
-    p, ints = ctx.characteristic, 2 * ctx.ext_degree - 1
-    dx, dy = (max(e) - min(e) for e in zip(*f.c))
-    ds, dd = (max(e) - min(e) for e in zip(*[(i + j, i - j) for i, j in f.c]))
-    norm = 0 if p else sum(map(abs, f.c.values())).bit_length()
-    work = 0
-    for s in range(1, n.bit_length()):
-        m = rest = n >> s
-        terms = 1
-        while rest:  # the base-p digits of m; m itself over Q
-            rest, digit = divmod(rest, p) if p else (0, rest)
-            terms *= math.comb(digit + t - 1, t - 1)
-        pairs = min(terms, (m * dx + 1) * (m * dy + 1),
-                    (m * ds + 1) * (m * dd + 1)) ** 2
-        slots = (2 * m * dx + 1) * (2 * m * dy + 1)
-        work += ints * (pairs if pairs <= 2 * slots
-                        else 2 * slots * (1 + 2 * m * norm // 64))
-    return work
+def _product_work(a, b):
+    """The price of the product a b in term pairs of the schoolbook loop:
+    its pairs where the density rule keeps the loop and twice its packed
+    slots where it packs, times the ints of a coefficient in the kernels'
+    codec, 2k - 1 over F_{p^k}.  Over Q a packed slot also grows by one
+    int per 64 bits of the two operands' largest coefficients; the loop
+    costs about the same per pair whatever the size of its ints."""
+    ints = 2 * a.ctx.ext_degree - 1
+    layout = _dense_layout(a.c, b.c)
+    if not layout:
+        return ints * len(a.c) * len(b.c)
+    (_, j0), (_, l0), width = layout
+    top = max(j for _, j in a.c) + max(j for _, j in b.c)
+    if not a.ctx.characteristic:
+        ints += sum(max(v.numerator.bit_length() for v in h.c.values())
+                    for h in (a, b)) // 64
+    return 2 * width * (top - j0 - l0 + 1) * ints
 
 
 def _check_degree(s, k, e, deg):
@@ -331,18 +322,6 @@ def _check_degree(s, k, e, deg):
     if e * max(deg, 1) > DEGREE_LIMIT:
         raise ParseError(f"power ^{e} of a degree-{deg} base is above "
                          f"DEGREE_LIMIT = {DEGREE_LIMIT}", _pos(s, k, 2))
-
-
-def _group_power(s, k, g, e):
-    """g^e for the group g that token k of s closes with exponent e, after
-    the limits on its degree and work."""
-    _check_degree(s, k, e, max((a + b for a, b in g.c), default=0))
-    work = _power_work(g, e) if len(g.c) > 1 else 0
-    if work > POWER_WORK_LIMIT:
-        raise ParseError(f"power ^{e} of a {len(g.c)}-term group takes about "
-                         f"{work} term pairs, above POWER_WORK_LIMIT = "
-                         f"{POWER_WORK_LIMIT}", _pos(s, k, 2))
-    return g ** e
 
 
 def parse_poly(s, ctx):
@@ -356,6 +335,18 @@ def parse_poly(s, ctx):
     if not toks:
         raise ParseError("empty input")
     one = ctx.one
+
+    def priced(a, b):
+        # a b, for the group that token k closes, unless its price is above
+        # the cap
+        work = _product_work(a, b)
+        if work > POWER_WORK_LIMIT:
+            raise ParseError(f"a product of {len(a.c)} by {len(b.c)} terms "
+                             f"takes about {work} term pairs, above "
+                             f"POWER_WORK_LIMIT = {POWER_WORK_LIMIT}",
+                             _pos(s, k))
+        return a * b
+
     # the open groups' sums and terms, the sum so far and the term so far:
     # its sign, coefficient, exponents and product of groups
     frames, acc = [], {}
@@ -395,8 +386,10 @@ def parse_poly(s, ctx):
             g = BiPoly(ctx, acc)
             acc, neg, c, i, j, grp, _ = frames.pop()
             if exp:
-                g = _group_power(s, k, g, e)
-            grp = g if grp is None else grp * g
+                deg = max((a + b for a, b in g.c), default=0)
+                _check_degree(s, k, e, deg)
+                g = power(priced, g, e, BiPoly.const(ctx, one))
+            grp = g if grp is None else priced(grp, g)
         else:
             if atom == "g" and getattr(ctx, "k", 1) < 2:
                 raise ParseError("generator g needs an extension field "

@@ -80,6 +80,15 @@ def test_mu_with_a_jet_below_the_determinacy_bound_exits_2(capsys):
     assert capsys.readouterr().out == "2\n"
 
 
+@pytest.mark.parametrize("f_text, trunc", [("x", "0"), ("x^2 - y^3", "3")])
+def test_a_jet_without_a_unit_is_the_jet_of_f(capsys, f_text, trunc):
+    # the jets 0 and x^2 have mu = infinity; without --unit the whole germ
+    # was reduced, and 0 and 2 were printed
+    assert main(["mu", "-f", f_text, "--trunc", trunc]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "D - 1 >= 2 mu - ord + 2" in cap.err
+
+
 def test_tree_ascii_empty_face():
     out = _ok("tree", f_text="x y")
     lines = out.splitlines()
@@ -213,13 +222,23 @@ def test_a_power_above_the_degree_limit_fails_fast():
 
 def test_a_dense_power_above_the_work_limit_fails_fast():
     # DEGREE_LIMIT admits (1 + x + y)^10000, about 5 * 10^7 terms; the
-    # parser refuses it before the first product
+    # parser refuses the first squaring priced above the cap
     for argv in (["mu", "-f", "(1 + x + y)^10000"],
                  ["tree", "-p", "32003", "-f", "x^2 - (1 + x + y)^10000"]):
         start = time.process_time()
         code, out = run(config_from_argv(argv))
         assert time.process_time() - start < 1
         assert code == 2 and "POWER_WORK_LIMIT" in out, (argv, out)
+
+
+def test_a_product_of_group_powers_above_the_work_limit_fails_fast():
+    # each power is admitted, but their product is priced above the cap;
+    # it took 3 s to answer
+    start = time.process_time()
+    code, out = run(config_from_argv(
+        ["mu", "-f", "(1+x+y)^120 (1+x+y)^120"]))
+    assert time.process_time() - start < 1
+    assert code == 2 and "POWER_WORK_LIMIT" in out, out
 
 
 def test_area_check_command():

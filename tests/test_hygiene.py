@@ -251,11 +251,13 @@ def test_true_division_only_inverts_a_fraction():
 
 
 def test_every_power_goes_through_field_power():
-    # one square-and-multiply loop counts the products of every power; a
-    # fifth caller, or a loop of its own, is a change to review
+    # one square-and-multiply loop counts the products of every power; the
+    # parser's is the fifth reader, to price each product it forms, and a
+    # sixth, or a loop of its own, is a change to review
     assert _package_scopes(lambda: _Reads("power")) == {
         ("field.py", "FieldCtx.pow"), ("field.py", "uni_pow_mod"),
-        ("poly.py", "BiPoly.__pow__"), ("invariants.py", "_ser_pow")}
+        ("poly.py", "BiPoly.__pow__"), ("invariants.py", "_ser_pow"),
+        ("poly.py", "parse_poly")}
 
 
 _CONTEXT_CLASSES = {c.__name__ for c in (FieldCtx, *_subclasses(FieldCtx))}

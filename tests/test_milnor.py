@@ -621,16 +621,17 @@ def _reduction_mu(g, trunc):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(TREE_CTXS), _tree_germ, _tree_unit,
-       st.sampled_from((None, "unit", "trunc")), st.integers(-2, 2))
+       st.sampled_from((None, "unit", "trunc", "jet")), st.integers(-2, 2))
 def test_mu_off_the_tree_equals_the_reduction(ctx, germ, ut, mode, shift):
     # 1 - M where Milnor's formula or the shortcut bound certifies it, the
-    # reduction everywhere else: the reduction must agree on every draw
+    # reduction everywhere else: the reduction must agree on every draw; a
+    # jet without a unit is the jet of f
     f, u = _from_germ(ctx, germ), None
-    if mode is not None:
+    if mode in ("unit", "trunc"):
         u = _from_terms(ctx, ut) + BiPoly.const(ctx, ctx.one)
     g = f if u is None else u * f
     trunc = None
-    if mode == "trunc":
+    if mode in ("trunc", "jet"):
         # jets near the determinacy bound: some certify, some are rejected
         mu = local_intersection(*partials(g)).value
         assume(mu != INF)

@@ -257,6 +257,69 @@ def test_a_dense_power_is_packed_in_time():
                                     * math.factorial(50)))
 
 
+@pytest.mark.parametrize("ctx", [QQ, field_ctx(32003)], ids=repr)
+def test_a_power_on_a_line_is_priced_by_its_terms(ctx):
+    # 729 terms on the line i = j; a forecast from the box of the base's
+    # exponents refused ^364, though ^363 took 0.2 s
+    start = time.process_time()
+    f = parse_poly("(1 + x y + x^2 y^2)^364", ctx)
+    assert time.process_time() - start < 1
+    assert len(f.c) == 729 and f.coeff(364, 364) != ctx.zero
+
+
+# group powers and products of them: EX1 and EX2 carry both, and the last
+# two texts are refused, the first at a squaring, the second at a product
+PRICED_TEXTS = (EX1, EX2, four_lines((1, 2, 3, 4)), four_lines((0, 0, 0, 1)),
+                "(1 + x y + x^2 y^2)^364", "(2 x y^3)^7 (x - y)^0 (0)^2 (y)",
+                "(1 + x + y)^10000", "(1 + x + y)^120 (1 + x + y)^120")
+
+
+def _count_products(monkeypatch):
+    """Lists that grow by one at each _product_work and BiPoly.__mul__ call."""
+    prices, products = [], []
+    work, mul = poly._product_work, BiPoly.__mul__
+
+    def priced(a, b):
+        prices.append(1)
+        return work(a, b)
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(poly, "_product_work", priced)
+    monkeypatch.setattr(BiPoly, "__mul__", counted)
+    return prices, products
+
+
+@pytest.mark.parametrize("ctx", [QQ, field_ctx(32003)], ids=repr)
+def test_every_product_the_parser_forms_is_priced(monkeypatch, ctx):
+    # a product formed without its price would escape POWER_WORK_LIMIT; a
+    # refused one is priced and never formed
+    prices, products = _count_products(monkeypatch)
+    for text in PRICED_TEXTS:
+        prices.clear()
+        products.clear()
+        try:
+            parse_poly(text, ctx)
+        except ParseError as e:
+            assert "POWER_WORK_LIMIT" in str(e), text
+            assert len(prices) == len(products) + 1, text
+        else:
+            assert len(prices) == len(products), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_product_of_a_drawn_text_is_priced(data):
+    ctx = data.draw(st.sampled_from(PARSE_CTXS + (field_ctx(3, 2),)))
+    text = data.draw(_poly_texts(ctx.ext_degree > 1))
+    with pytest.MonkeyPatch.context() as m:
+        prices, products = _count_products(m)
+        parse_poly(text, ctx)
+    assert len(prices) == len(products), text
+
+
 def _poly_texts(gen):
     """Well-formed texts: signs, juxtaposition, '*', '^' on atoms and on
     nested groups, and g when gen holds."""
