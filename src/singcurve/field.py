@@ -72,8 +72,9 @@ _BASES_BY_BOUND = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
 # lower-case codes are the signed ones
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-# rational roots are found among quotients of divisors of the end
-# coefficients, which are listed by trial division up to their square root
+# rational roots of a polynomial of degree 3 or more are found among
+# quotients of divisors of the end coefficients, which are listed by trial
+# division up to their square root
 RATIONAL_ROOT_LIMIT = 10 ** 12
 # field_ctx's largest degree k (adjoin_splitting's fields are not capped):
 # for the largest prime below PRIME_TEST_LIMIT the modulus search at k = 8
@@ -1014,6 +1015,23 @@ def _int_divisors(n):
     return out
 
 
+def _root_candidates(z):
+    """Rationals among which lie the roots of the coprime ints z, a
+    polynomial of degree >= 1 with z[0] != 0: in closed form at degree 1
+    and 2, else every +-r/s, r | z[0] and s | z[-1]."""
+    if len(z) == 2:
+        return {_canon(Fraction(-z[0], z[1]))}
+    if len(z) == 3:
+        c, b, a = z
+        disc = b * b - 4 * a * c
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return set()
+        return {_canon(Fraction(-b + e, 2 * a)) for e in (s, -s)}
+    return {_canon(Fraction(e * r, s)) for r in _int_divisors(z[0])
+            for s in _int_divisors(z[-1]) for e in (1, -1)}
+
+
 def uni_rational_roots(ctx, f):
     """Rational roots with multiplicities, plus the rootless cofactor."""
     if not f:
@@ -1027,13 +1045,7 @@ def uni_rational_roots(ctx, f):
         f = f[low:]
     if uni_deg(f) < 1:
         return roots, list(f)
-    zf = _primitive(ctx, f)
-    cands = set()
-    for r in _int_divisors(zf[0]):
-        for s in _int_divisors(zf[-1]):
-            cands.add(_canon(Fraction(r, s)))
-            cands.add(_canon(Fraction(-r, s)))
-    for cand in sorted(cands):
+    for cand in sorted(_root_candidates(_primitive(ctx, f))):
         m, f = uni_root_mult(ctx, f, cand)
         if m:
             roots.append((cand, m))

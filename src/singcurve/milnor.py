@@ -20,11 +20,16 @@ starts from an estimate: the first round runs at n = E + 1, E the mixed
 area of the pair's Newton polygons after the monomial charges.  E is the
 value of a Newton non-degenerate pair and, on every pair measured, at
 most the value.  A failed round is followed by one at
-max(reach + 1, floor(3n/2) + 1), reach the acc it got to.  A pair sharing
-a branch certifies no finite value, so one shared-branch test runs before
-any round but the first that would start at n >= 4(E + 1); without a
-shared branch every round past the Bezout bound certifies, and one that
-does not is a fault.
+n' = max(reach + 1, floor(3n/2) + 1), reach the acc it got to, which
+starts where the failed round was last exact: from its rows and acc just
+before the first clip or step that dropped a term.  The width enters a
+round only through its clips and steps, and a wider one drops nothing
+where a narrower one dropped nothing, so the round at n' takes the same
+steps up to that state; started there, it is the round at n' without the
+steps it would repeat.  A pair sharing a branch certifies no finite
+value, so one shared-branch test runs before any round but the first
+that would start at n >= 4(E + 1); without a shared branch every round
+past the Bezout bound certifies, and one that does not is a fault.
 
 A round holds each polynomial as dense rows along one axis.  On y-rows,
 row j lists the x-coefficients of y^j and is at most n - acc - j long, so
@@ -70,7 +75,7 @@ def _sub_mul_clip(ctx, g, f, q, n):
     return _rows_trim(g), dropped
 
 
-def _reduce_pair(ctx, f, g, n, reach):
+def _reduce_pair(ctx, f, g, n, reach, acc=0, exact=None):
     """One reduction round at precision n on the y-rows f and g: the
     value, INF or None.
 
@@ -85,11 +90,17 @@ def _reduce_pair(ctx, f, g, n, reach):
     x-coefficients of y^j and is at most n - acc - j long; the argument
     rows are not changed.  The list reach gets the round's last acc
     appended, the precision a failed round reached.
+
+    A round may also start inside: from the rows f and g that an exact
+    round at a smaller precision held with acc collected.  While nothing
+    has been cut, the list exact, when given, is set to [f, g, acc]
+    before each clip or step that may drop a term.  The round at n
+    reaches every such state, with the same acc and each step at width
+    n - acc, so started there it is the round at n.
     """
-    acc = 0
     try:
-        width = n  # the cut the rows are clipped to
-        (f, fc), (g, gc) = (_clip_rows(ctx, r, n) for r in (f, g))
+        width = n - acc  # the cut the rows are clipped to
+        (f, fc), (g, gc) = (_clip_rows(ctx, r, width) for r in (f, g))
         cut = fc or gc  # some term fell: no INF, and the value must stay < n
         if not f or not g:
             return None
@@ -115,6 +126,8 @@ def _reduce_pair(ctx, f, g, n, reach):
             # once n outgrows it; a cut run's certificate is dead
             if acc >= n:
                 return None
+            if exact is not None and not cut:
+                exact[:] = f, g, acc
             if n - acc < width:
                 width = n - acc
                 (f, fc), (g, gc) = (_clip_rows(ctx, r, width) for r in (f, g))
@@ -168,11 +181,13 @@ def local_intersection(g, h):
     Newton polygons (_newton_estimate), and certifies there when the value
     is E; an axis dividing both is a shared branch before any round.  A
     failed round is followed by one at max(reach + 1, floor(3n/2) + 1),
-    reach the acc it got to.  A finite value never certifies when the pair
-    shares a branch, so that is tested once, before any round but the
-    first that would start at n >= 4(E + 1) or past the Bezout bound
-    deg(g)*deg(h); a round past that bound that fails after the test is a
-    logic fault.  The test tries one image first: if g(a, y) and h(a, y)
+    reach the acc it got to, which starts from the last exact state of
+    the failed round (_reduce_pair): the steps up to it drop nothing at
+    either precision, so they are the same steps.  A finite value never
+    certifies when the pair shares a branch, so that is tested once,
+    before any round but the first that would start at n >= 4(E + 1) or
+    past the Bezout bound deg(g)*deg(h); a round past that bound that
+    fails after the test is a logic fault.  The test tries one image first: if g(a, y) and h(a, y)
     are coprime at an a != 0 with lc_y g(a) != 0, no common factor has
     positive y-degree (its lc_y divides lc_y g, so it would keep its
     y-degree at a and divide both images), and x, the one factor left
@@ -215,9 +230,10 @@ def local_intersection(g, h):
               for e in (g, h))
     bound = max(i + j for i, j in g.c) * max(i + j for i, j in h.c)
     fence = min(4 * (est + 1), bound + 1)
-    reach = []
+    reach, exact = [], [gr, hr, 0]
     n = est + 1
-    while (v := _reduce_pair(ctx, gr, hr, n, reach)) is None:
+    while (v := _reduce_pair(ctx, *exact[:2], n, reach, exact[2],
+                             exact)) is None:
         # fence is INF once the test found no shared branch
         if n > bound and fence == INF:
             raise InternalError(

@@ -302,19 +302,23 @@ def _product_work(a, b):
     """The price of the product a b in term pairs of the schoolbook loop:
     its pairs where the density rule keeps the loop and twice its packed
     slots where it packs, times the ints of a coefficient in the kernels'
-    codec, 2k - 1 over F_{p^k}.  Over Q a packed slot also grows by one
-    int per 64 bits of the two operands' largest coefficients; the loop
-    costs about the same per pair whatever the size of its ints."""
+    codec, 2k - 1 over F_{p^k}.  Over Q, with bits the sum of the two
+    operands' largest coefficient bit lengths, a packed slot also grows by
+    one int per 64 bits, and a loop pair costs (bits // 1440)^1.585 pairs,
+    at least 1, after CPython's Karatsuba multiplication.  A pair of ints
+    of 720 bits each costs about 2.6 pairs of small ones (1.0 against
+    0.4 us), within the cap's slack, and one of 10^5 bits each about
+    5,000 (priced at 2,464)."""
     ints = 2 * a.ctx.ext_degree - 1
+    bits = 0 if a.ctx.characteristic else sum(
+        max((v.numerator.bit_length() for v in h.c.values()), default=0)
+        for h in (a, b))
     layout = _dense_layout(a.c, b.c)
     if not layout:
-        return ints * len(a.c) * len(b.c)
+        return int(ints * len(a.c) * len(b.c) * max(1, bits // 1440) ** 1.585)
     (_, j0), (_, l0), width = layout
     top = max(j for _, j in a.c) + max(j for _, j in b.c)
-    if not a.ctx.characteristic:
-        ints += sum(max(v.numerator.bit_length() for v in h.c.values())
-                    for h in (a, b)) // 64
-    return 2 * width * (top - j0 - l0 + 1) * ints
+    return 2 * width * (top - j0 - l0 + 1) * (ints + bits // 64)
 
 
 def _check_degree(s, k, e, deg):

@@ -160,23 +160,42 @@ def test_huge_prime_field_answers_fast():
 
 
 def test_huge_rational_coefficient_fails_fast():
+    # a quadratic face takes its roots in closed form, whatever the size of
+    # its coefficients; a cubic one still lists the divisors of its ends
     start = time.perf_counter()
+    out = _ok("tree", f_text="x^2 - 1000000000000000000000000000000 y^2")
+    assert "(-1000000000000000) y^1" in out and "(1000000000000000) y^1" in out
     code, out = run(RunConfig(
-        "tree", f_text="x^2 - 1000000000000000000000000000000 y^2"))
+        "tree", f_text="x^3 - 1000000000000000000000000000000 y^3"))
     assert code == 2 and "RATIONAL_ROOT_LIMIT" in out
     assert _ok("delta", f_text="x^2 - 1000000000000 y^2") == "1"
     assert time.perf_counter() - start < 2
 
 
-@pytest.mark.parametrize("f", [
-    "x^2 - 999999999989 y^2",  # a prime constant: irrational face roots
-    "x^2 - 1000000000000000000000000000000 y^2",  # past RATIONAL_ROOT_LIMIT
+@pytest.mark.parametrize("f, mu", [
+    ("x^2 - 999999999989 y^2", "1"),  # a prime constant: irrational roots
+    ("x^3 - 1000000000000000000000000000000 y^3", "4"),  # past the limit
 ], ids=["irrational", "past the limit"])
-def test_mu_over_q_leaves_a_failed_tree_fast(f):
+def test_mu_over_q_leaves_a_failed_tree_fast(f, mu):
     # the tree is tried first over Q; when it raises, the reduction answers
     start = time.process_time()
-    assert _ok("mu", f_text=f) == "1"
+    assert _ok("mu", f_text=f) == mu
     assert time.process_time() - start < 2
+
+
+@pytest.mark.parametrize("command, f, code, want", [
+    ("mu", "x^2 - 999999999989 y^2", 0, "1"),
+    ("multiplicity", "x^2 - 999999999989 y^2", 2, "irrational roots"),
+    ("multiplicity", "y - 999999999989 x^2 + x^3 y", 0, "|M| = 1\nM = 1"),
+])
+def test_linear_and_quadratic_faces_over_q_list_no_divisors(command, f, code,
+                                                            want):
+    # roots of face polynomials of degree 1 and 2 come in closed form; the
+    # divisors of the prime 999999999989 took about 0.1 s to list
+    start = time.process_time()
+    got = run(RunConfig(command, f_text=f))
+    assert time.process_time() - start < 0.01
+    assert got[0] == code and want in got[1]
 
 
 def test_mu_of_ex1_times_a_unit_over_q_is_fast():
@@ -238,6 +257,16 @@ def test_a_product_of_group_powers_above_the_work_limit_fails_fast():
     code, out = run(config_from_argv(
         ["mu", "-f", "(1+x+y)^120 (1+x+y)^120"]))
     assert time.process_time() - start < 1
+    assert code == 2 and "POWER_WORK_LIMIT" in out, out
+
+
+@pytest.mark.parametrize("e", [256, 512])
+def test_a_power_of_huge_integers_above_the_work_limit_fails_fast(e):
+    # each product is a loop of few pairs, but of ints of up to 1.3 * 10^6
+    # bits; priced by their pairs alone, ^256 took 7.5 s and ^512 60.6 s
+    start = time.process_time()
+    code, out = run(config_from_argv(["mu", "-f", f"(2^10000 x + y)^{e}"]))
+    assert time.process_time() - start < 2
     assert code == 2 and "POWER_WORK_LIMIT" in out, out
 
 

@@ -895,6 +895,44 @@ def test_embedding_roundtrip_identity():
     assert emb(f9.gen) == f9.gen
 
 
+def _divisor_path_roots(qq, f):
+    """uni_rational_roots with every candidate +-r/s, r | f[0] and
+    s | f[-1] of the primitive ints of f once its zero roots are out."""
+    low = next(i for i, c in enumerate(f) if c)
+    roots, f = [(0, low)] if low else [], f[low:]
+    if len(f) > 1:
+        z = field._primitive(qq, f)
+        divs = [[d for d in range(1, abs(c) + 1) if c % d == 0]
+                for c in (z[0], z[-1])]
+        for cand in sorted({field._canon(Fraction(e * r, s)) for r in divs[0]
+                            for s in divs[1] for e in (1, -1)}):
+            m, f = field.uni_root_mult(qq, f, cand)
+            if m:
+                roots.append((cand, m))
+    return roots, f
+
+
+_small = st.integers(-12, 12)
+_nonzero = _small.filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(_small, _nonzero),
+    st.tuples(_small, _small, _nonzero),
+    # a product of two linear factors: two rational roots, or a double one
+    st.tuples(_small, _nonzero, _small, _nonzero).map(
+        lambda c: uni_mul(field_ctx(0), c[:2], c[2:]))),
+    st.integers(0, 2), st.integers(1, 6))
+def test_closed_form_rational_roots_match_the_divisor_path(c, low, den):
+    # degree 1 and 2 once the zero roots are out: the closed forms give the
+    # roots, their order and multiplicities, and the cofactor of the divisor
+    # search
+    qq = field_ctx(0)
+    f = [0] * low + [qq.from_int(Fraction(v, den)) for v in c]
+    assert uni_rational_roots(qq, f) == _divisor_path_roots(qq, f)
+
+
 def test_rational_roots():
     qq = field_ctx(0)
     one = Fraction(1)

@@ -11,7 +11,10 @@ from collections import Counter
 
 from singcurve import milnor, poly
 from singcurve.field import (ExtFieldCtx, FieldCtx, PrimeFieldCtx,
-                             RationalCtx)
+                             RationalCtx, field_ctx)
+from singcurve.poly import parse_poly
+
+from curves import EX1
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "singcurve"
@@ -140,6 +143,17 @@ def test_bench_tracer_patches_every_target():
             assert tr.unpatched() == [], probe.__name__
     assert poly.BiPoly.__dict__["__mul__"] is mul
     assert milnor._sub_mul_clip is clip
+
+
+def test_bench_tracer_counts_the_reduction_rounds():
+    # the tracer wraps _reduce_pair with positional arguments only, so a
+    # keyword call or a signature it cannot pass would break the traced
+    # bench alone; EX1's partials over F_7 take three rounds, two failed
+    layers = _bench_layers()
+    with layers.Tracer() as tr:
+        assert milnor.milnor_number(parse_poly(EX1, field_ctx(7))) == 156
+    assert (tr.count["milnor.reduce_rounds"],
+            tr.count["milnor.precision_doublings"]) == (3, 2)
 
 
 class _AttributeUses(ast.NodeVisitor):

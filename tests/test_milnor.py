@@ -311,6 +311,57 @@ def test_a_round_reports_the_precision_it_reached():
     assert reach == [41, 34]
 
 
+RESUME_CTXS = (field_ctx(2), field_ctx(3), field_ctx(101), field_ctx(7, 2), QQ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RESUME_CTXS), _germ, _germ, _factor, _SHAPES)
+def test_a_resumed_round_is_the_round_from_the_start(ctx, fg, gg, ht, shape):
+    # each round local_intersection runs from the last exact state of the
+    # round before gives the value and the reach of the same round run
+    # from the original rows
+    f, g = _shaped_pair(ctx, fg, gg, ht, shape)
+    calls, round_ = [], milnor._reduce_pair
+
+    def recorded(ctx, a, b, n, reach, *rest):
+        v = round_(ctx, a, b, n, reach, *rest)
+        calls.append((a, b, n, v, reach[-1]))
+        return v
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(milnor, "_reduce_pair", recorded)
+        local_intersection(f, g)
+    if calls:
+        rows = calls[0][:2]
+        for _, _, n, v, acc in calls:
+            reach = []
+            assert (_reduce_pair(ctx, *rows, n, reach), reach) == (v, [acc]), n
+
+
+def _steps(monkeypatch):
+    """A one-item list that counts the _sub_mul_clip steps that follow."""
+    count, step = [0], milnor._sub_mul_clip
+
+    def counted(*args):
+        count[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(milnor, "_sub_mul_clip", counted)
+    return count
+
+
+@pytest.mark.parametrize("text, p, mu, rounds, steps", [
+    # 28 and 87 steps when every round started from the original rows
+    (EX1, 7, 156, [78, 118, 178], 23),
+    (f"({EX1})(1 + x + y + x y)", 3, 157, [85, 128, 193], 64),
+])
+def test_a_failed_round_hands_its_exact_prefix_on(monkeypatch, text, p, mu,
+                                                   rounds, steps):
+    ns, count = _rounds(monkeypatch), _steps(monkeypatch)
+    assert milnor_number(_f(text, p)) == mu
+    assert ns == rounds and count == [steps]
+
+
 def _calls(monkeypatch, owner, name):
     """The first arguments of the calls of owner.name that follow."""
     calls = []
@@ -407,7 +458,7 @@ def test_a_round_that_never_certifies_is_a_fault_past_the_bezout_bound(
     f, g = _q("(x^2 - y^3)(1 + x^5)"), _q("x^3 - y^2")
     ns, (tests, gcds) = [], _fence_calls(monkeypatch)
 
-    def never(ctx, a, b, n, acc):
+    def never(ctx, a, b, n, acc, *rest):
         ns.append(n)
         acc.append(reach(n))
 

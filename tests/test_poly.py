@@ -267,6 +267,17 @@ def test_a_power_on_a_line_is_priced_by_its_terms(ctx):
     assert len(f.c) == 729 and f.coeff(364, 364) != ctx.zero
 
 
+def test_a_power_of_mid_sized_integers_stays_admitted():
+    # the square of (x + y)^723 is 724^2 pairs of ints of up to 719 bits,
+    # priced as pairs of small ones: just inside POWER_WORK_LIMIT
+    start = time.process_time()
+    f = parse_poly("(x + y)^1447", QQ)
+    assert time.process_time() - start < 3
+    assert f.coeff(723, 724) == math.comb(1447, 723)
+    g = parse_poly("(x + y)^723", QQ)
+    assert poly._product_work(g, g) == 724 ** 2 <= poly.POWER_WORK_LIMIT
+
+
 # group powers and products of them: EX1 and EX2 carry both, and the last
 # two texts are refused, the first at a squaring, the second at a product
 PRICED_TEXTS = (EX1, EX2, four_lines((1, 2, 3, 4)), four_lines((0, 0, 0, 1)),
