@@ -193,9 +193,6 @@ def _slot_plan(bound, char, m):
 class FieldCtx:
     """Base arithmetic context; subclasses fix the element representation."""
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
@@ -1060,8 +1057,6 @@ def _uni_is_irreducible(ctx, f):
     """Rabin's test for monic f of degree >= 1 over a finite field; over
     odd q a quadratic is irreducible iff its discriminant is a non-square."""
     n = uni_deg(f)
-    if n == 1:
-        return True
     q = ctx.order
     if q % 2 and n == 2:
         disc = _disc(ctx, f)

@@ -94,7 +94,7 @@ class HNMap:
         terms = []
         for (i, j), v in f.c.items():
             w = self.p * i + self.q * j - shift
-            if not is_zero(v) and (n is None or w < n):
+            if n is None or w < n:
                 terms.append((w, self.A * i + self.B * j, v))
         e_max = max((e for _, e, _ in terms), default=0)
         powers = list(accumulate(repeat(self.mu_bar, e_max), mul,

@@ -15,7 +15,7 @@ from .errors import (DisconnectedNodes, InputError, InternalError,
 from .field import power, uni_order
 from .hn import hn_map
 from .poly import (_clip_rows, _shares_origin_branch, _to_yrows,
-                   clip_total, vanishes_at_origin)
+                   clip_total, vanishes_at_origin, x0_order)
 from .tree import build_tree, build_tree_multi, minimalize, tree_multiplicity
 
 INF = math.inf
@@ -380,7 +380,7 @@ def _solve_smooth(w, n):
     is cut at length n - j.
     """
     ctx = w.ctx
-    order = uni_order(ctx, w.subs_x0())
+    order = x0_order(w)
     if order != 1:
         raise InternalError(f"chart curve has Y-order {order}, wanted 1")
     rows = _clip_rows(ctx, _to_yrows(w), n)[0]
@@ -440,7 +440,7 @@ def _parametrize_arrow(f, t, aid, n):
         cut = cut or any((m.p + m.A) * i + (m.q + m.B) * j - got >= n
                          for i, j in h.c)
         h = w
-        order = uni_order(ctx, h.subs_x0())
+        order = x0_order(h)
         if (got, order) != (N, nu):
             if cut:
                 raise PrecisionExhausted(

@@ -224,10 +224,7 @@ def local_intersection(g, h):
     s_y, s_x = (sum(min((k[a] for k in e.c if not k[1 - a]), default=est + 1)
                     for e in (g, h)) for a in (0, 1))
     swap = ctx.characteristic > 0 and s_y < s_x
-    # BiPoly keeps coefficients as given; the packed kernel needs canonical
-    # elements, and ctx.add puts any element in its canonical form
-    gr, hr = ([[ctx.add(ctx.zero, v) for v in r] for r in _to_yrows(e, swap)]
-              for e in (g, h))
+    gr, hr = (_to_yrows(e, swap) for e in (g, h))
     bound = max(i + j for i, j in g.c) * max(i + j for i, j in h.c)
     fence = min(4 * (est + 1), bound + 1)
     reach, exact = [], [gr, hr, 0]

@@ -28,10 +28,6 @@ class Face:
     def __repr__(self):
         return f"Face(p={self.p}, q={self.q}, N={self.N})"
 
-    def __eq__(self, other):
-        return (isinstance(other, Face) and (self.p, self.q, self.N, self.top, self.bot)
-                == (other.p, other.q, other.N, other.top, other.bot))
-
 
 class NewtonPolygon:
     __slots__ = ("i0", "j0", "vertices", "faces")

@@ -1,6 +1,7 @@
 """Bivariate polynomials over a field context.
 
-A BiPoly stores a sparse dict {(i, j): coeff} with no zero coefficients.
+A BiPoly stores a sparse dict {(i, j): coeff} whose every coefficient is
+nonzero and in its context's canonical form, set by the constructor.
 The parser accepts sums/differences of terms built from x, y, integers,
 parentheses, '^' powers and optional '*' (an extension-field context also
 enables the generator symbol g); the printer emits a canonical form the
@@ -42,8 +43,10 @@ class BiPoly:
         self.ctx = ctx
         self.c = {}
         if coeffs:
+            zero, add = ctx.zero, ctx.add
             for k, v in coeffs.items():
-                if not ctx.is_zero(v):
+                v = add(zero, v)
+                if v != zero:
                     self.c[k] = v
 
     @classmethod
@@ -62,10 +65,8 @@ class BiPoly:
         return not self.c
 
     def __eq__(self, other):
-        """Equality of polynomials: the coefficients are kept as given, so
-        the difference is compared with zero through the context."""
         return (isinstance(other, BiPoly) and self.ctx == other.ctx
-                and (self - other).is_zero())
+                and self.c == other.c)
 
     def __add__(self, other):
         ctx = self.ctx
@@ -150,16 +151,6 @@ class BiPoly:
     def deg_y(self):
         return max((j for _, j in self.c), default=-1)
 
-    def subs_x0(self):
-        """f(0, y) as a univariate coefficient list in y."""
-        ctx = self.ctx
-        n = max((j for (i, j) in self.c if i == 0), default=-1)
-        out = [ctx.zero] * (n + 1)
-        for (i, j), v in self.c.items():
-            if i == 0:
-                out[j] = v
-        return uni_trim(ctx, out)
-
     def __repr__(self):
         return f"BiPoly({poly_str(self)})"
 
@@ -193,13 +184,12 @@ def _mul_packed(f, g, fo, go, width):
     operand, shifted to its lowest exponents fo and go, becomes the series
     of its terms v t^(i + j width), which the product keeps apart."""
     ctx = f.ctx
-    zero, add = ctx.zero, ctx.add
+    zero = ctx.zero
 
     def packed(h, i0, j0):
         out = [zero] * ((max(j for _, j in h.c) - j0 + 1) * width)
         for (i, j), v in h.c.items():
-            # the kernel takes canonical elements, as add returns them
-            out[i - i0 + (j - j0) * width] = add(zero, v)
+            out[i - i0 + (j - j0) * width] = v
         return out
 
     a = packed(f, *fo)
@@ -237,6 +227,12 @@ def partials(f):
 def vanishes_at_origin(f):
     """f(0, 0) == 0, the zero polynomial included."""
     return f.is_zero() or f.ctx.is_zero(f.coeff(0, 0))
+
+
+def x0_order(f):
+    """The order in y of f(0, y), read off the keys (0, j); None when x
+    divides f, the zero polynomial included."""
+    return min((j for i, j in f.c if not i), default=None)
 
 
 def clip_total(f, n):
@@ -466,9 +462,9 @@ def poly_str(f):
 
 def _to_yrows(f, swap=False):
     """BiPoly -> list over y-degree of univariate-in-x coefficient lists
-    without trailing zeros: row j holds the x-coefficients of y^j.  With
-    swap, x and y trade places: row i holds the y-coefficients of x^i,
-    so the rows are the y-rows of f(y, x)."""
+    without trailing zeros, as no coefficient is zero: row j holds the
+    x-coefficients of y^j.  With swap, x and y trade places: row i holds
+    the y-coefficients of x^i, so the rows are the y-rows of f(y, x)."""
     ctx, c = f.ctx, f.c
     if swap:
         c = {(j, i): v for (i, j), v in c.items()}
@@ -478,7 +474,7 @@ def _to_yrows(f, swap=False):
         if len(row) <= i:
             row.extend([ctx.zero] * (i + 1 - len(row)))
         row[i] = v
-    return _rows_trim([uni_trim(ctx, r) for r in rows])
+    return rows
 
 
 def _rows_trim(rows):

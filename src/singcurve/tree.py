@@ -21,10 +21,10 @@ import operator
 from .errors import (DisconnectedNodes, IndivisibleArrowhead, InternalError,
                      NotReduced, RecursionCapExceeded, UnitInput,
                      ZeroPolynomial)
-from .field import uni_mul, uni_order, uni_root_mult
+from .field import uni_mul, uni_root_mult
 from .hn import hn_map
 from .newton import face_factorization, face_line, newton_polygon
-from .poly import reduced_check
+from .poly import reduced_check, x0_order
 
 RECURSION_CAP = 64
 
@@ -389,7 +389,7 @@ class _Builder:
                     # a unit in this chart: it adds nothing below
                     continue
                 w = hmap.apply(h)
-                got = uni_order(ctx, w.subs_x0())
+                got = x0_order(w)
                 if got != nu_m:
                     raise InternalError(
                         f"cofactor order {got} for strand of multiplicity {nu_m}")

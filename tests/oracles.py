@@ -458,7 +458,7 @@ def hn_transform(f, face, root):
     n, w = m.image_order(f), m.apply(f)
     if n != face.N:
         raise InternalError(f"transform dropped X^{n}, face says {face.N}")
-    w0 = w.subs_x0()
+    w0 = _subs_x0(w)
     order = next((i for i, c in enumerate(w0) if not f.ctx.is_zero(c)), None)
     if order != nu:
         raise OrderMismatch(f"cofactor has Y-order {order}, root said {nu}")
@@ -548,6 +548,12 @@ def euclid_gcd(ctx, f, g):
 # is the reference for the values that local_intersection returns.
 
 
+def _subs_x0(f):
+    """f(0, y) as a coefficient list in y."""
+    top = max((j for i, j in f.c if not i), default=-1)
+    return uni_trim(f.ctx, [f.coeff(0, j) for j in range(top + 1)])
+
+
 def _subs_y0(f):
     """f(x, 0) as a coefficient list in x."""
     top = max((i for i, _ in f.c), default=-1)
@@ -579,7 +585,7 @@ def _dict_strip(f, g):
         other = g if first else f
         a, b = min(i for i, _ in h.c), min(j for _, j in h.c)
         if a or b:
-            for mult, rest in ((a, other.subs_x0()), (b, _subs_y0(other))):
+            for mult, rest in ((a, _subs_x0(other)), (b, _subs_y0(other))):
                 if not mult:
                     continue
                 o = uni_order(ctx, rest)

@@ -15,8 +15,8 @@ from singcurve.poly import BiPoly, clip_total, parse_poly
 from singcurve.tree import build_tree, tree_multiplicity
 
 from curves import EX1
-from oracles import (euclid_exponents, euclid_sequences, full_image,
-                     hn_transform, small_elem, x_image, y_image)
+from oracles import (_subs_x0, euclid_exponents, euclid_sequences,
+                     full_image, hn_transform, small_elem, x_image, y_image)
 
 QQ = field_ctx(0)
 
@@ -133,7 +133,7 @@ def test_face_factor_transforms_to_order_one():
         m = hn_map(p, q, QQ.from_int(mu), QQ)
         n, w = m.image_order(f), m.apply(f)
         assert n == p * q
-        w0 = w.subs_x0()
+        w0 = _subs_x0(w)
         assert w0[0] == 0 and w0[1] != 0
 
 
@@ -144,7 +144,7 @@ def test_face_factor_order_one_char2():
     m = hn_map(5, 3, mu, f2)
     n, w = m.image_order(f), m.apply(f)
     assert n == 15
-    w0 = w.subs_x0()
+    w0 = _subs_x0(w)
     assert f2.is_zero(w0[0]) and not f2.is_zero(w0[1])
 
 
@@ -190,7 +190,7 @@ def test_hn_transform_ex1_stage2_and_3():
     m3 = hn_map(face3.p, face3.q, Fraction(-1), QQ)
     n3 = m3.image_order(w2)
     assert n3 == face3.N == 2
-    w30 = m3.apply(w2, 4).subs_x0()
+    w30 = _subs_x0(m3.apply(w2, 4))
     assert w30[0] == 0 and not QQ.is_zero(w30[1])
 
 

@@ -342,3 +342,27 @@ def test_only_the_cli_seed_reads_the_environment():
     found = {r for path in sorted(PACKAGE.glob("*.py"))
              for r in _environment_reads(path)}
     assert found == {("cli.py", "SINGCURVE_SEED")}
+
+
+def _last_name(node):
+    """The name that a bare name or an attribute ends in, else None."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+class _Canonicalizations(_Scopes):
+    """The scopes that call a context's add with the zero first, add(zero,
+    v) or ctx.add(ctx.zero, v): the way to put v in canonical form."""
+
+    def visit_Call(self, node):
+        if (_last_name(node.func) == "add" and node.args
+                and _last_name(node.args[0]) == "zero"):
+            self._hit(node)
+        self.generic_visit(node)
+
+
+def test_only_the_bipoly_constructor_canonicalizes_coefficients():
+    # every key of a BiPoly carries a canonical nonzero coefficient, set
+    # once by the constructor; a second normalization downstream would
+    # re-derive that fact
+    assert _package_scopes(_Canonicalizations) == {
+        ("poly.py", "BiPoly.__init__")}

@@ -260,10 +260,10 @@ def test_parametrize_matches_the_reference_series_path():
 
 @pytest.mark.parametrize("p", [3, 101, 32003])
 def test_parametrize_of_unreduced_ints_over_fp(p):
-    # BiPoly keeps any int that is not 0 mod p, but the packed series
-    # product takes ints in [0, p) only; coefficients shifted by multiples
-    # of p (negative; whose products overflow their slots; wider than any
-    # slot) must give the series and the intersection number of the
+    # the packed series product takes ints in [0, p) only, and the BiPoly
+    # constructor reduces its ints mod p; coefficients shifted by multiples
+    # of p (negative; whose products would overflow their slots; wider than
+    # any slot) must give the series and the intersection number of the
     # reduced curves
     ctx = field_ctx(p)
     f, g = parse_poly(EX1, ctx), parse_poly("x^3 - y^2 + x y^4", ctx)
@@ -271,7 +271,7 @@ def test_parametrize_of_unreduced_ints_over_fp(p):
     for shift in (-7, 67, 10 ** 30):
         fs, gs = (BiPoly(ctx, {k: v + p * shift for k, v in h.c.items()})
                   for h in (f, g))
-        assert min(fs.c.values()) < 0 or max(fs.c.values()) >= p
+        assert all(0 <= v < p for h in (fs, gs) for v in h.c.values())
         got = parametrize_branch(fs, 128)
         assert (got.phi, got.psi) == (par.phi, par.psi)
         assert intersect_param(fs, gs) == want

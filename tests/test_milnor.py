@@ -101,14 +101,15 @@ def test_local_intersection_mixed_contexts_rejected():
 
 @pytest.mark.parametrize("shift", [-7, 67, 10 ** 30])
 def test_local_intersection_of_unreduced_ints_over_fp(shift):
-    # BiPoly keeps any int that is not 0 mod p; coefficients shifted by
-    # multiples of 3 (negative; about 200, whose products overflow a 1-byte
-    # slot; wider than any slot) must give the value of the reduced ones
+    # the BiPoly constructor reduces its ints mod p; coefficients shifted
+    # by multiples of 3 (negative; about 200, whose products would overflow
+    # a 1-byte slot; wider than any slot) must give the value of the
+    # reduced ones
     f, g = partials(_f("x y^7 + 2x^4y^3 + x^6y + 2x^9 + x^5y^5", 3))
     want = local_intersection(f, g).value
     f, g = (BiPoly(h.ctx, {k: v + 3 * shift for k, v in h.c.items()})
             for h in (f, g))
-    assert min(f.c.values()) < 0 or max(f.c.values()) >= 3
+    assert all(0 <= v < 3 for h in (f, g) for v in h.c.values())
     assert local_intersection(f, g).value == want
 
 

@@ -12,14 +12,17 @@ from hypothesis import strategies as st
 from singcurve import poly
 from singcurve.errors import ParseError, ZeroPolynomial
 from singcurve.field import field_ctx
+from singcurve.invariants import intersect_tree
+from singcurve.milnor import local_intersection
 from singcurve.newton import newton_polygon
 from singcurve.poly import (BiPoly, clip_total, gcd_bipoly, parse_poly,
                             partials, poly_str, reduced_check,
-                            vanishes_at_origin)
+                            vanishes_at_origin, x0_order)
+from singcurve.tree import build_tree, tree_multiplicity
 
 from curves import EX1, EX2, four_lines
-from oracles import (full_product, gcd_prs, reference_parse, small_elem,
-                     substitute)
+from oracles import (_subs_x0, full_product, gcd_prs, reference_parse,
+                     small_elem, substitute)
 
 QQ = field_ctx(0)
 F5 = field_ctx(5)
@@ -84,8 +87,8 @@ def test_a_monomial_power_takes_no_product(monkeypatch, ctx, v, n):
 
 
 def test_equality_is_polynomial_equality():
-    # a BiPoly keeps its coefficients as given, and 4 x - x is the zero
-    # polynomial over F_3 and over F_9
+    # the constructor reduces 4 to 1 over F_3 and (4, 0) and (4, 3) to
+    # (1, 0) over F_9, so each is x, and only x
     f3, f9 = field_ctx(3), field_ctx(3, 2)
     assert BiPoly(f3, {(1, 0): 4}) == parse_poly("x", f3)
     assert BiPoly(f9, {(1, 0): (4, 0)}) == parse_poly("x", f9)
@@ -207,12 +210,76 @@ def test_mul_matches_the_full_product(ctx, ft, gt):
 
 
 def test_a_packed_product_reduces_its_coefficients_first():
-    # a BiPoly keeps its coefficients as given; the kernel takes F_p
-    # elements in [0, p) only, and sizes its slots for them
+    # the kernel takes F_p elements in [0, p) only, and sizes its slots
+    # for them; the constructor reduces these large ints to that range
     f = BiPoly(F5, {(i, j): (7 * i - 3 * j - 11) * (10 ** 9 + 1)
                     for i in range(5) for j in range(5)})
     assert poly._dense_layout(f.c, f.c)
     assert (f * f).c == full_product(f, f)[0].c
+
+
+SHIFT_CTXS = (field_ctx(7), field_ctx(7, 2), field_ctx(2, 3), QQ)
+
+
+def _unreduced(ctx, v, m):
+    """v in a form that is not canonical: each int coordinate shifted by
+    a multiple of p, m p and up, over F_q; an integral rational as a
+    Fraction over Q."""
+    if ctx.ext_degree > 1:
+        return tuple(a + ctx.p * (m + k) for k, a in enumerate(v))
+    if ctx.characteristic:
+        return v + ctx.p * m
+    return Fraction(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SHIFT_CTXS), _terms,
+       st.one_of(st.integers(-9, 9), st.integers(10 ** 20, 10 ** 30)))
+def test_the_constructor_puts_each_coefficient_in_canonical_form(ctx, t, m):
+    want = BiPoly(ctx, {k: small_elem(ctx, a, b) for k, (a, b) in t.items()})
+    shifted = {k: _unreduced(ctx, v, m) for k, v in want.c.items()}
+    shifted[(9, 9)] = _unreduced(ctx, ctx.zero, m)  # zero mod p: dropped
+    got = BiPoly(ctx, shifted)
+    assert got.c == want.c
+    assert all(ctx.add(ctx.zero, v) == v for v in got.c.values())
+    # over Q an integral coefficient is an int, which == does not tell
+    # from the Fraction it came in as
+    assert [type(v) for v in got.c.values()] == [
+        type(v) for v in want.c.values()]
+
+
+def test_a_coefficient_that_is_zero_mod_p_is_dropped():
+    f9 = field_ctx(3, 2)
+    assert BiPoly(f9, {(1, 0): (3, 3)}).is_zero()
+    assert BiPoly(F5, {(1, 0): 10, (0, 1): -4}).c == {(0, 1): 1}
+
+
+@pytest.mark.parametrize("ctx, coeffs", [
+    (field_ctx(3, 2), {(0, 0): (3, 0), (2, 0): (4, 0), (0, 5): (1, 3)}),
+    (field_ctx(2, 3), {(0, 0): (2, 4, 6), (2, 0): (3, 2, -2),
+                       (0, 5): (-1, 8, 0)}),
+    (field_ctx(7, 2), {(0, 0): (7, -7), (2, 0): (8, 14), (0, 5): (-6, 7)}),
+], ids=["F9", "F8", "F49"])
+def test_a_germ_from_unreduced_coordinates_answers_like_its_parsed_twin(
+        ctx, coeffs):
+    # each is x^2 + y^5, its coordinates shifted by multiples of p and its
+    # constant term zero mod p
+    f, y = BiPoly(ctx, coeffs), parse_poly("y", ctx)
+    assert f == parse_poly("x^2 + y^5", ctx)
+    assert local_intersection(f, y).value == 2
+    assert intersect_tree(f, y) == 2
+    assert tree_multiplicity(build_tree(f)).M == -3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MUL_CTXS), _terms, st.integers(0, 2))
+def test_x0_order_is_the_order_of_f_at_x_zero(ctx, t, a):
+    # a > 0 shifts every term by x^a, so that x divides f
+    f = BiPoly(ctx, {(i + a, j): small_elem(ctx, u, v)
+                     for (i, j), (u, v) in t.items()})
+    w0 = _subs_x0(f)
+    assert x0_order(f) == next(
+        (j for j, v in enumerate(w0) if not ctx.is_zero(v)), None)
 
 
 def _packed_products(monkeypatch):
