@@ -30,7 +30,7 @@ import itertools
 import operator
 import re
 
-from .errors import ParseError, ZeroPolynomial
+from .errors import InputError, ParseError, ZeroPolynomial
 from .field import (ExtFieldCtx, PrimeFieldCtx, embedding, power, uni_add,
                     uni_deg, uni_deriv, uni_eval, uni_gcd, uni_mul, uni_order,
                     uni_quo, uni_scale, uni_sub, uni_trim)
@@ -44,10 +44,20 @@ class BiPoly:
         self.c = {}
         if coeffs:
             zero, add = ctx.zero, ctx.add
-            for k, v in coeffs.items():
-                v = add(zero, v)
-                if v != zero:
-                    self.c[k] = v
+            try:
+                for k, v in coeffs.items():
+                    w = add(zero, v)
+                    if w != zero:
+                        self.c[k] = w
+                if type(zero) is tuple:
+                    # F_{p^k}: add zips, which stops at the shorter tuple
+                    n = len(zero)
+                    for k, v in coeffs.items():
+                        if len(v) != n:
+                            raise ValueError
+            except (TypeError, ValueError):
+                raise InputError(f"coefficient {v!r} of {k} is not an "
+                                 f"element of {ctx!r}") from None
 
     @classmethod
     def zero(cls, ctx):
@@ -128,11 +138,7 @@ class BiPoly:
 
     def scale(self, v):
         ctx = self.ctx
-        if ctx.is_zero(v):
-            return BiPoly(ctx)
-        r = BiPoly(ctx)
-        r.c = {k: ctx.mul(w, v) for k, w in self.c.items()}
-        return r
+        return BiPoly(ctx, {k: ctx.mul(w, v) for k, w in self.c.items()})
 
     def map_coeffs(self, fn, new_ctx):
         r = BiPoly(new_ctx)

@@ -1,5 +1,6 @@
 """Command dispatch, rendering formats, and exit codes."""
 
+import hashlib
 import json
 import time
 
@@ -117,6 +118,40 @@ def test_tree_json_round_trip():
         t = build_tree(parse_poly(text, field_ctx(p)))
         assert tree_multiplicity(back).M == tree_multiplicity(t).M
         assert vertex_report(back) == vertex_report(t)
+
+
+# EX1 over F_{7^2} multiplies through the log tables of F_49, and the
+# branches of y^2 + 2x^2 over F_5 need F_25: outputs as they were printed
+# before the tables, the long ones as the sha256 of their text
+EX1_F49 = {"p": 7, "k": 2, "f_text": EX1}
+F_PK_OUTPUTS = {
+    "mu": (dict(EX1_F49), "156"),
+    "multiplicity": (dict(EX1_F49), "|M| = 155\nM = -155"),
+    "tree": ({"p": 5, "f_text": "y^2 + 2x^2"},
+             "v0  N=2  q=1  p=1\n"
+             "  [1] (0)-arrow N'=2\n"
+             "  [1] arrow [x^1 = (4*g+1) y^1]\n"
+             "  [1] arrow [x^1 = (g+4) y^1]\n"
+             "  [1] (0)-arrow N'=2"),
+}
+F_PK_DIGESTS = {
+    "parametrize": (dict(EX1_F49, terms=64), "6c4c367fe6bd40322eba1c47b23ee6"
+                    "8f8122341160d11a3bf3be68de9f1f528d"),
+    "tree": ({"p": 5, "f_text": "y^2 + 2x^2", "fmt": "json"},
+             "6e0a02e3dfa70f9824d0bdb5a7fe7a4390a77b3b3f6aa931121c2e291ecb1bdd"),
+}
+
+
+@pytest.mark.parametrize("command", F_PK_OUTPUTS)
+def test_extension_field_outputs_stay_as_pinned(command):
+    kw, want = F_PK_OUTPUTS[command]
+    assert _ok(command, **kw) == want
+
+
+@pytest.mark.parametrize("command", F_PK_DIGESTS)
+def test_extension_field_output_digests_stay_as_pinned(command):
+    kw, want = F_PK_DIGESTS[command]
+    assert hashlib.sha256(_ok(command, **kw).encode()).hexdigest() == want
 
 
 def test_semigroup_command():

@@ -981,3 +981,130 @@ def test_generator_printing():
     f25 = field_ctx(5, 2)
     e = f25.add(f25.mul_int(f25.gen, 2), f25.from_int(3))
     assert f25.to_str(e) == "2*g+3"
+
+
+# ---------------------------------------------------------------------------
+# log and exp tables of small extension fields, and the column-wise decode
+
+
+def _poly_product(ctx, a, b):
+    """ab in F_{p^k} as a remainder of coefficient lists over F_p, padded to
+    k coordinates: a reference that shares no code with ExtFieldCtx.mul."""
+    base = ctx.base
+    r = uni_divmod(base, uni_mul(base, [x % ctx.p for x in a],
+                                 [x % ctx.p for x in b]),
+                   list(ctx.modulus))[1]
+    return tuple(r) + (0,) * (ctx.k - len(r))
+
+
+def _tabled(ctx):
+    """ctx after the tuple products that make it build its field's log
+    and exp tables."""
+    for _ in range(ctx._untabled):
+        ctx.mul(ctx.gen, ctx.gen)
+    assert ctx._exp is not None
+    return ctx
+
+
+TABLED = [_tabled(field_ctx(p, k))
+          for p, k in [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]]
+
+
+@pytest.mark.parametrize("ctx", TABLED, ids=repr)
+def test_table_products_and_inverses_match_the_tuple_body_exhaustively(ctx):
+    elems = list(ctx.elements())
+    for a in elems:
+        for b in elems:
+            assert ctx.mul(a, b) == ctx._tuple_mul(a, b) == _poly_product(
+                ctx, a, b)
+    for a in elems[1:]:
+        assert ctx._tuple_mul(a, ctx.inv(a)) == ctx.one
+    with pytest.raises(DivisionByZero):
+        ctx.inv(ctx.zero)
+
+
+def _largest_tabled():
+    return max(((p, k) for p in (2, 3, 5, 7, 11, 31) for k in range(2, 11)
+                if p ** k <= field.TABLE_ORDER), key=lambda pk: pk[0] ** pk[1])
+
+
+def _just_past_the_cap():
+    return min(((p, k) for p in (2, 3, 5, 7, 11, 31) for k in range(2, 12)
+                if p ** k > field.TABLE_ORDER), key=lambda pk: pk[0] ** pk[1])
+
+
+@pytest.mark.parametrize("pk, tabled", [(_largest_tabled(), True),
+                                        (_just_past_the_cap(), False)],
+                         ids=["largest-tabled", "past-the-cap"])
+def test_random_products_and_inverses_on_both_sides_of_the_cap(pk, tabled):
+    ctx = ExtFieldCtx(*pk)
+    rng = random.Random(32)
+    for _ in range(2000):
+        a, b = ctx.rand_elem(rng), ctx.rand_elem(rng)
+        assert ctx.mul(a, b) == ctx._tuple_mul(a, b) == _poly_product(
+            ctx, a, b)
+        if a != ctx.zero:
+            assert _poly_product(ctx, a, ctx.inv(a)) == ctx.one
+    # 2,000 products are more than the TABLE_ORDER the build waits for
+    assert (ctx._exp is not None) == tabled
+
+
+@pytest.mark.parametrize("ctx", TABLED + [ExtFieldCtx(*_just_past_the_cap())],
+                         ids=repr)
+def test_non_canonical_tuples_give_the_canonical_product(ctx):
+    # coordinates off [0, p) miss the log table and take the tuple body
+    p, rng = ctx.p, random.Random(5)
+    for _ in range(300):
+        a, b = ctx.rand_elem(rng), ctx.rand_elem(rng)
+        a2 = tuple(x + p * rng.randint(-3, 3) for x in a)
+        b2 = tuple(x + p * rng.randint(-3, 3) for x in b)
+        assert ctx.mul(a2, b2) == ctx.mul(a, b) == _poly_product(ctx, a, b)
+        if a != ctx.zero:
+            assert ctx.inv(a2) == ctx.inv(a)
+
+
+def test_a_context_builds_its_tables_after_order_many_tuple_products():
+    # a fresh presentation of F_{5^2}, so no earlier context built them
+    base = PrimeFieldCtx(5)
+    modulus = next((c0, c1, 1) for c0 in range(1, 5) for c1 in range(5)
+                   if field._uni_is_irreducible(base, [c0, c1, 1])
+                   and (5, (c0, c1, 1)) not in field._TABLES)
+    a, b = ExtFieldCtx(5, 2, modulus), ExtFieldCtx(5, 2, modulus)
+    for _ in range(a.order - 1):
+        a.mul(a.gen, a.one)
+    assert a._exp is None and b._exp is None
+    a.mul(a.gen, a.one)
+    assert a._exp is not None
+    # a context made later starts with them, and one made earlier takes
+    # the same pair when its own count runs out
+    assert ExtFieldCtx(5, 2, modulus)._log is a._log
+    assert _tabled(b)._log is a._log and b._exp is a._exp
+
+
+def test_contexts_of_one_field_share_one_table():
+    a = _tabled(ExtFieldCtx(7, 2))
+    b = field_ctx(7, 2)
+    assert a is not b and a.modulus == b.modulus
+    assert a._log is b._log and a._exp is b._exp
+    # another modulus is another field presentation with its own table
+    c = ExtFieldCtx(7, 2, modulus=next(
+        (c0, c1, 1) for c0 in range(1, 7) for c1 in range(7)
+        if (c0, c1, 1) != a.modulus
+        and field._uni_is_irreducible(a.base, [c0, c1, 1])))
+    assert _tabled(c)._log is not a._log and c._exp is not a._exp
+
+
+DECODE_CTXS = TABLED + [field_ctx(3, 5), ExtFieldCtx(*_just_past_the_cap())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DECODE_CTXS), st.data())
+def test_column_wise_decode_matches_the_per_element_fold(ctx, data):
+    # slots of any width up to 16 bytes, wider than the kernels' bounds
+    # on these fields; _elems ignores half, a multiple of p
+    s = 2 * ctx.k - 1
+    n = data.draw(st.integers(0, 12))
+    slots = data.draw(st.lists(st.integers(0, 256 ** 16 - 1),
+                               min_size=n * s, max_size=n * s))
+    want = [ctx._fold(slots[i:i + s]) for i in range(0, len(slots), s)]
+    assert ctx._elems(slots, 0, 1) == ctx._elems(tuple(slots), 0, 1) == want

@@ -366,3 +366,52 @@ def test_only_the_bipoly_constructor_canonicalizes_coefficients():
     # re-derive that fact
     assert _package_scopes(_Canonicalizations) == {
         ("poly.py", "BiPoly.__init__")}
+
+
+# the coefficient operations perfbench/layers.CoeffCounter wraps on the
+# context classes
+_CONTEXT_OPS = {"add", "sub", "mul", "neg", "inv", "is_zero"}
+
+
+class _OpBindings(_Scopes):
+    """The scopes that bind a context operation as an attribute: an
+    assignment to x.op, or setattr(x, "op", ...)."""
+
+    def _targets(self, node, targets):
+        for t in targets:
+            if any(isinstance(n, ast.Attribute) and n.attr in _CONTEXT_OPS
+                   for n in ast.walk(t)):
+                self._hit(node)
+        self.generic_visit(node)
+
+    def visit_Assign(self, node):
+        self._targets(node, node.targets)
+
+    def visit_AugAssign(self, node):
+        self._targets(node, [node.target])
+
+    visit_AnnAssign = visit_AugAssign
+
+    def visit_Call(self, node):
+        if (_last_name(node.func) == "setattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in _CONTEXT_OPS):
+            self._hit(node)
+        self.generic_visit(node)
+
+
+def test_no_package_code_binds_a_context_operation_on_an_object():
+    # an operation bound on an instance hides from the class-level
+    # counters, so the bench would miss its calls; the detector itself is
+    # checked on a planted binding of each kind
+    planted = _OpBindings()
+    planted.visit(ast.parse(
+        "class C:\n"
+        "    def __init__(self, t):\n"
+        "        self.mul = t.get\n"
+        "def f(ctx):\n"
+        "    ctx.inv, y = None, 1\n"
+        "def g(ctx):\n"
+        "    setattr(ctx, 'add', None)\n"))
+    assert planted.found == {"C.__init__", "f", "g"}
+    assert _package_scopes(_OpBindings) == set()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcurve import poly
-from singcurve.errors import ParseError, ZeroPolynomial
+from singcurve.errors import InputError, ParseError, ZeroPolynomial
 from singcurve.field import field_ctx
 from singcurve.invariants import intersect_tree
 from singcurve.milnor import local_intersection
@@ -718,6 +718,53 @@ def test_gcd_bipoly_takes_the_extension_path(ctx, h, steps, monkeypatch):
     assert seen == steps
     assert d == gcd_prs(f, g) == h
     assert d.ctx == ctx
+
+
+# gcd_bipoly of h (y + x) and h (y + 1) over F_2, as the tuple products
+# printed it before the F_{p^k} log tables, with the extension steps it
+# takes: F_2 has too few points, and for the second h F_4 has too few as well
+GCD_THROUGH_EXTENSIONS = [
+    ("y + x^2 + x + 1", "x^2 + x + y + 1", [(1, 2)]),
+    ("y^2 + x^3 y + x^2 + x + 1", "x^3*y + x^2 + x + y^2 + 1",
+     [(1, 2), (2, 4)]),
+]
+
+
+@pytest.mark.parametrize("h, want, steps", GCD_THROUGH_EXTENSIONS)
+def test_gcd_bipoly_through_small_extensions_stays_as_pinned(
+        h, want, steps, monkeypatch):
+    seen = []
+    extend = poly._quadratic_extension
+
+    def spy(small):
+        out = extend(small)
+        seen.append((small.ext_degree, out[0].ext_degree))
+        return out
+
+    monkeypatch.setattr(poly, "_quadratic_extension", spy)
+    h = parse_poly(h, F2)
+    d = gcd_bipoly(h * parse_poly("y + x", F2), h * parse_poly("y + 1", F2))
+    assert seen == steps
+    assert poly_str(d) == want and d == h
+
+
+@pytest.mark.parametrize("ctx, zero", [(field_ctx(3, 2), (3, 3)),
+                                       (field_ctx(2, 3), (2, -4, 6))],
+                         ids=repr)
+def test_scaling_by_a_non_canonical_zero_gives_the_zero_polynomial(ctx, zero):
+    f = parse_poly("x + y", ctx)
+    assert f.scale(zero).is_zero() and f.scale(zero) == BiPoly(ctx)
+    # a non-canonical unit scales to canonical coefficients
+    unit = tuple(c + ctx.p for c in ctx.one)
+    assert f.scale(unit) == f
+
+
+@pytest.mark.parametrize("value", [5, (1,), (1, 2, 0), "1"])
+def test_a_malformed_extension_coefficient_is_an_input_error(value):
+    ctx = field_ctx(3, 2)
+    with pytest.raises(InputError) as e:
+        BiPoly(ctx, {(0, 0): ctx.one, (2, 1): value})
+    assert "(2, 1)" in str(e.value) and repr(value) in str(e.value)
 
 
 def _rand_support(ctx, rng, terms, deg):
